@@ -9,7 +9,7 @@
 //!   including the irregular-gather SpMV kernel.
 
 use crate::output::{text_table, ExperimentOutput, Figure};
-use crate::platforms::{machine_by_name, Fidelity};
+use crate::platforms::{config_by_name, machine_by_name, Fidelity};
 use kernels::blas1::{Daxpy, Ddot};
 use kernels::spmv::{Csr, Spmv};
 use kernels::Kernel;
@@ -66,7 +66,7 @@ fn numa_stream_gbps(platform: &str, placements: &[(usize, usize)], lines: u64) -
 pub fn run_e17(fidelity: Fidelity) -> ExperimentOutput {
     let platform = "snb-2s";
     let mut out = ExperimentOutput::new("E17", "Two-socket NUMA execution (snb-2s)".to_string());
-    let cfg = machine_by_name(platform).config().clone();
+    let cfg = config_by_name(platform);
     let lines = fidelity.scale(60_000, 12_000);
 
     // Latency: one cold load, local vs remote.
@@ -141,7 +141,7 @@ pub fn run_e17(fidelity: Fidelity) -> ExperimentOutput {
 /// bandwidth roof per memory level (L1/L2/L3/DRAM), each measured with a
 /// warm read sweep sized to the level.
 pub fn cache_aware_roofline(platform: &str, fidelity: Fidelity) -> Roofline {
-    let cfg = machine_by_name(platform).config().clone();
+    let cfg = config_by_name(platform);
     let flops_target = fidelity.scale(200_000, 60_000);
 
     let mut builder = Roofline::builder(format!("{}-hier-1t", cfg.name))
@@ -199,7 +199,7 @@ pub fn run_e18(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
 
     // Cache-resident ddot at sizes pinned to each level (warm), plus
     // streaming kernels (cold).
-    let cfg = machine_by_name(platform).config().clone();
+    let cfg = config_by_name(platform);
     let mut points = Vec::new();
     for (label, ws_bytes) in [
         ("ddot@L2", cfg.l2.size_bytes / 2),

@@ -2,7 +2,7 @@
 //! kernel at 1/2/N threads under the matching per-thread-count rooflines.
 
 use crate::output::{text_table, ExperimentOutput, Figure};
-use crate::platforms::{machine_by_name, Fidelity};
+use crate::platforms::{config_by_name, machine_by_name, Fidelity};
 use kernels::blas1::Triad;
 use kernels::blas3::DgemmBlocked;
 use kernels::Kernel;
@@ -46,7 +46,7 @@ fn measure_mt<K: Kernel + Sync>(
 /// E15 — the scaling table and figure.
 pub fn run_e15(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
     let mut out = ExperimentOutput::new("E15", format!("Multithreaded scaling ({platform})"));
-    let cores = machine_by_name(platform).config().cores;
+    let cores = config_by_name(platform).cores;
     let thread_counts: Vec<usize> = [1usize, 2, cores]
         .into_iter()
         .filter(|&t| t <= cores)

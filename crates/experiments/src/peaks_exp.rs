@@ -1,12 +1,13 @@
 //! E3 (measured compute ceilings) and E4 (measured bandwidth roofs).
 
 use crate::output::{text_table, ExperimentOutput, Figure};
-use crate::platforms::{machine_by_name, Fidelity};
-use perfmon::peaks::{measure_bandwidth, measure_peak_compute, BwPattern, Mix};
+use crate::platforms::{config_by_name, machine_by_name, Fidelity};
+use perfmon::peaks::{
+    measure_bandwidth, measure_bandwidth_warm, measure_peak_compute, BwPattern, Mix,
+};
 use perfmon::roofs::measured_roofline;
 use roofline_core::plot::{ascii::render_ascii, svg::render_svg, PlotSpec};
 use simx86::isa::{Precision, VecWidth};
-use simx86::Machine;
 
 const P: Precision = Precision::F64;
 
@@ -16,7 +17,7 @@ const P: Precision = Precision::F64;
 pub fn run_e3(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
     let mut out = ExperimentOutput::new("E3", format!("Measured compute ceilings ({platform})"));
     let flops_target = fidelity.scale(400_000, 60_000);
-    let cfg = machine_by_name(platform).config().clone();
+    let cfg = config_by_name(platform);
     let thread_counts = [1usize, cfg.cores];
 
     let mut rows = Vec::new();
@@ -83,59 +84,11 @@ fn theoretical_gflops(
     per_cycle * cfg.nominal_ghz * threads as f64
 }
 
-/// Measures warm (cache-resident) bandwidth: prime one pass, then time
-/// `passes` repeated passes over the same buffers.
-fn measure_bw_warm(
-    machine: &mut Machine,
-    pattern: BwPattern,
-    bytes_per_buffer: u64,
-    passes: u64,
-) -> f64 {
-    use simx86::isa::Reg;
-    let n = bytes_per_buffer / 8;
-    let bufs: Vec<_> = (0..3).map(|_| machine.alloc(bytes_per_buffer)).collect();
-    // Priming pass.
-    let run_pass = |cpu: &mut simx86::Cpu<'_>, bufs: &[simx86::Buffer]| {
-        let w = VecWidth::Y256;
-        let mut i = 0;
-        while i + 4 <= n {
-            match pattern {
-                BwPattern::Read => {
-                    cpu.load(Reg::new(0), bufs[0].f64_at(i), w, P);
-                }
-                BwPattern::Copy => {
-                    cpu.load(Reg::new(0), bufs[1].f64_at(i), w, P);
-                    cpu.store(bufs[0].f64_at(i), Reg::new(0), w, P);
-                }
-                BwPattern::Triad => {
-                    cpu.load(Reg::new(0), bufs[1].f64_at(i), w, P);
-                    cpu.load(Reg::new(1), bufs[2].f64_at(i), w, P);
-                    cpu.fmul(Reg::new(2), Reg::new(1), Reg::new(15), w, P);
-                    cpu.fadd(Reg::new(3), Reg::new(0), Reg::new(2), w, P);
-                    cpu.store(bufs[0].f64_at(i), Reg::new(3), w, P);
-                }
-                _ => unreachable!("warm sweep uses read/copy/triad only"),
-            }
-            i += 4;
-        }
-    };
-    machine.run(0, |cpu| run_pass(cpu, &bufs));
-    let t0 = machine.tsc();
-    machine.run(0, |cpu| {
-        for _ in 0..passes {
-            run_pass(cpu, &bufs);
-        }
-    });
-    let secs = (machine.tsc() - t0) / machine.tsc_hz();
-    let moved = (n / 4 * 4) * pattern.bytes_per_element() * passes;
-    moved as f64 / secs / 1e9
-}
-
 /// E4 — bandwidth vs. working-set size (the cache staircase) and the
 /// DRAM-regime roof table per pattern and thread count.
 pub fn run_e4(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
     let mut out = ExperimentOutput::new("E4", format!("Measured memory bandwidth ({platform})"));
-    let cfg = machine_by_name(platform).config().clone();
+    let cfg = config_by_name(platform);
 
     // Size sweep with warm passes: shows L1/L2/L3/DRAM plateaus.
     let sizes: Vec<u64> = {
@@ -149,7 +102,7 @@ pub fn run_e4(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
         let mut vals = Vec::new();
         for pattern in [BwPattern::Read, BwPattern::Copy, BwPattern::Triad] {
             let mut m = machine_by_name(platform);
-            vals.push(measure_bw_warm(&mut m, pattern, bytes, passes));
+            vals.push(measure_bandwidth_warm(&mut m, pattern, bytes, passes).get());
         }
         csv.push_str(&format!(
             "{bytes},{:.3},{:.3},{:.3}\n",

@@ -2,7 +2,7 @@
 //! counting), E8 (Turbo Boost distortion), E9 (cold vs. warm caches).
 
 use crate::output::{text_table, ExperimentOutput, Figure};
-use crate::platforms::{machine_by_name, Fidelity};
+use crate::platforms::{config_by_name, machine_by_name, Fidelity};
 use kernels::blas1::{Ddot, Triad};
 use kernels::blas3::DgemmBlocked;
 use kernels::Kernel;
@@ -225,7 +225,7 @@ pub fn run_e8(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
 /// the two protocols converging beyond it.
 pub fn run_e9(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
     let mut out = ExperimentOutput::new("E9", format!("Cold vs warm caches ({platform})"));
-    let l3 = machine_by_name(platform).config().l3.size_bytes;
+    let l3 = config_by_name(platform).l3.size_bytes;
     let sizes: Vec<u64> = {
         let max_shift = if fidelity == Fidelity::Full { 21 } else { 15 };
         (10..=max_shift).map(|s| 1u64 << s).collect()

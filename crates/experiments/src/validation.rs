@@ -1,7 +1,7 @@
 //! E5 (work-counter validation) and E6 (traffic-counter validation).
 
 use crate::output::ExperimentOutput;
-use crate::platforms::{machine_by_name, Fidelity};
+use crate::platforms::{config_by_name, machine_by_name, Fidelity};
 use kernels::blas1::{Daxpy, Dcopy, Dsum, Triad};
 use kernels::blas2::Dgemv;
 use kernels::blas3::DgemmBlocked;
@@ -13,19 +13,21 @@ use perfmon::harness::{CacheProtocol, MeasureConfig, Measurer};
 use perfmon::validate::ValidationTable;
 use simx86::Machine;
 
-fn measure_kernel(
+/// Measures a kernel cold on a fresh machine for `platform`: `build`
+/// prepares the machine and lays the kernel out on it. The machine is
+/// dropped before this returns, so a run keeps one alive at a time.
+fn measure_cold(
     out: &mut ExperimentOutput,
     platform: &str,
-    machine: &mut Machine,
-    kernel: &dyn Kernel,
-    protocol: CacheProtocol,
-) -> perfmon::RegionMeasurement {
+    build: impl FnOnce(&mut Machine) -> Box<dyn Kernel>,
+) -> (Box<dyn Kernel>, perfmon::RegionMeasurement) {
+    let mut machine = machine_by_name(platform);
+    let kernel = build(&mut machine);
     let cfg = MeasureConfig {
-        protocol,
+        protocol: CacheProtocol::Cold,
         ..MeasureConfig::default()
     };
-    let mut measurer = Measurer::new(machine, cfg);
-    let r = measurer.measure(|cpu| kernel.emit(cpu));
+    let r = Measurer::new(&mut machine, cfg).measure(|cpu| kernel.emit(cpu));
     // On a platform spec with a fault suffix armed (`snb+drift=…`) the
     // integrity guard trips; record its verdicts as degradations so the
     // run is reported `degraded` with the report attached instead of
@@ -39,7 +41,7 @@ fn measure_kernel(
             out.degrade(note);
         }
     }
-    r
+    (kernel, r)
 }
 
 /// E5 — measured `W` (width-weighted FP counters) against analytic flop
@@ -49,66 +51,40 @@ fn measure_kernel(
 pub fn run_e5(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
     let mut out = ExperimentOutput::new("E5", format!("Work-counter validation ({platform})"));
     let mut table = ValidationTable::new("W: expected vs PMU-measured [flops]", 0.0, 0.02);
+    let mut row = |n: u64, build: &dyn Fn(&mut Machine) -> Box<dyn Kernel>| {
+        let (k, r) = measure_cold(&mut out, platform, build);
+        table.push(k.name(), n, "W [flops]", k.flops(), r.work.get());
+    };
 
     let sizes = [
         fidelity.scale(1 << 16, 1 << 10),
         fidelity.scale(1 << 18, 1 << 12),
     ];
     for &n in &sizes {
-        let mut m = machine_by_name(platform);
-        let k = Daxpy::new(&mut m, n);
-        let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-        table.push(k.name(), n, "W [flops]", k.flops(), r.work.get());
-
-        let mut m = machine_by_name(platform);
-        let k = Dsum::new(&mut m, n);
-        let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-        table.push(k.name(), n, "W [flops]", k.flops(), r.work.get());
-
-        let mut m = machine_by_name(platform);
-        let k = Triad::new(&mut m, n, false);
-        let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-        table.push(k.name(), n, "W [flops]", k.flops(), r.work.get());
+        row(n, &|m| Box::new(Daxpy::new(m, n)));
+        row(n, &|m| Box::new(Dsum::new(m, n)));
+        row(n, &|m| Box::new(Triad::new(m, n, false)));
     }
 
     let gemv_n = fidelity.scale(512, 64);
-    let mut m = machine_by_name(platform);
-    let k = Dgemv::new(&mut m, gemv_n);
-    let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-    table.push(k.name(), gemv_n, "W [flops]", k.flops(), r.work.get());
+    row(gemv_n, &|m| Box::new(Dgemv::new(m, gemv_n)));
 
     let gemm_n = fidelity.scale(96, 24);
-    let mut m = machine_by_name(platform);
-    let k = DgemmBlocked::new(&mut m, gemm_n);
-    let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-    table.push(k.name(), gemm_n, "W [flops]", k.flops(), r.work.get());
+    row(gemm_n, &|m| Box::new(DgemmBlocked::new(m, gemm_n)));
 
     let fft_n = fidelity.scale(1 << 14, 1 << 8);
-    let mut m = machine_by_name(platform);
-    let k = Fft::new(&mut m, fft_n, true);
-    let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-    table.push(k.name(), fft_n, "W [flops]", k.flops(), r.work.get());
-
-    let mut m = machine_by_name(platform);
-    let k = Wht::new(&mut m, fft_n, true);
-    let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-    table.push(k.name(), fft_n, "W [flops]", k.flops(), r.work.get());
+    row(fft_n, &|m| Box::new(Fft::new(m, fft_n, true)));
+    row(fft_n, &|m| Box::new(Wht::new(m, fft_n, true)));
 
     // The blind spot: real work, zero counted flops.
     let mp_n = fidelity.scale(1 << 16, 1 << 10);
-    let mut m = machine_by_name(platform);
-    let k = MaxPool1d::new(&mut m, mp_n);
-    let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-    table.push(k.name(), mp_n, "W [flops]", 0, r.work.get());
+    row(mp_n, &|m| Box::new(MaxPool1d::new(m, mp_n)));
 
     let all_pass = table.all_pass();
     out.finding("all W rows within tolerance", all_pass);
     out.finding(
         "maxpool true ops (invisible to PMU)",
-        {
-            let mut m = machine_by_name(platform);
-            MaxPool1d::new(&mut m, mp_n).true_ops()
-        },
+        MaxPool1d::new(&mut machine_by_name(platform), mp_n).true_ops(),
     );
     out.tables.push(table.render());
     out
@@ -129,84 +105,32 @@ pub fn run_e6(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
     // tail never leaves the cache during the run and the writeback term of
     // the expectation goes missing (the same reason the paper streams
     // half-gigabyte buffers). Buffer = 4x (full) / 2x (quick) L3 capacity.
-    let l3 = machine_by_name(platform).config().l3.size_bytes;
+    let l3 = config_by_name(platform).l3.size_bytes;
     let n = match fidelity {
         Fidelity::Full => 4 * l3 / 8,
         Fidelity::Quick => 2 * l3 / 8,
     };
 
-    // (name, expected_q, builder) — expectations per access analysis:
-    // reads of inputs + RFO of written lines + writeback of dirty lines.
-    struct Case {
-        expected: u64,
-        kernel: Box<dyn Kernel>,
-        machine: Machine,
-    }
-    let mut cases = Vec::new();
-    {
-        let mut m = machine_by_name(platform);
-        m.set_prefetch(false, false);
-        let k = Dsum::new(&mut m, n);
-        cases.push(Case {
-            expected: 8 * n,
-            kernel: Box::new(k),
-            machine: m,
-        });
-    }
-    {
-        let mut m = machine_by_name(platform);
-        m.set_prefetch(false, false);
-        let k = Daxpy::new(&mut m, n);
+    // (expected Q, kernel) — expectations per access analysis: reads of
+    // inputs + RFO of written lines + writeback of dirty lines.
+    type Build = fn(&mut Machine, u64) -> Box<dyn Kernel>;
+    let cases: [(u64, Build); 5] = [
+        (8 * n, |m, n| Box::new(Dsum::new(m, n))),
         // x read (8n) + y RFO (8n) + y writeback (8n).
-        cases.push(Case {
-            expected: 24 * n,
-            kernel: Box::new(k),
-            machine: m,
-        });
-    }
-    {
-        let mut m = machine_by_name(platform);
-        m.set_prefetch(false, false);
-        let k = Triad::new(&mut m, n, false);
+        (24 * n, |m, n| Box::new(Daxpy::new(m, n))),
         // b + c read (16n) + a RFO (8n) + a writeback (8n).
-        cases.push(Case {
-            expected: 32 * n,
-            kernel: Box::new(k),
-            machine: m,
-        });
-    }
-    {
-        let mut m = machine_by_name(platform);
-        m.set_prefetch(false, false);
-        let k = Triad::new(&mut m, n, true);
+        (32 * n, |m, n| Box::new(Triad::new(m, n, false))),
         // NT stores: b + c read + a written once, no RFO.
-        cases.push(Case {
-            expected: 24 * n,
-            kernel: Box::new(k),
-            machine: m,
-        });
-    }
-    {
-        let mut m = machine_by_name(platform);
-        m.set_prefetch(false, false);
-        let k = Dcopy::new(&mut m, n, false);
+        (24 * n, |m, n| Box::new(Triad::new(m, n, true))),
         // x read + y RFO + y writeback.
-        cases.push(Case {
-            expected: 24 * n,
-            kernel: Box::new(k),
-            machine: m,
+        (24 * n, |m, n| Box::new(Dcopy::new(m, n, false))),
+    ];
+    for (expected, build) in cases {
+        let (k, r) = measure_cold(&mut out, platform, |m| {
+            m.set_prefetch(false, false);
+            build(m, n)
         });
-    }
-
-    for case in &mut cases {
-        let r = measure_kernel(&mut out, platform, &mut case.machine, case.kernel.as_ref(), CacheProtocol::Cold);
-        table.push(
-            case.kernel.name(),
-            case.kernel.param(),
-            "Q [bytes]",
-            case.expected,
-            r.traffic.get(),
-        );
+        table.push(k.name(), k.param(), "Q [bytes]", expected, r.traffic.get());
     }
 
     let all_pass = table.all_pass();
@@ -216,9 +140,7 @@ pub fn run_e6(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
     // Companion observation: with prefetch ON, IMC traffic stays close to
     // expectation (slight overshoot), but is *attributed* differently —
     // quantified fully in E7.
-    let mut m = machine_by_name(platform);
-    let k = Dsum::new(&mut m, n);
-    let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
+    let (_, r) = measure_cold(&mut out, platform, |m| Box::new(Dsum::new(m, n)));
     out.finding(
         "dsum Q with prefetch on / analytic",
         format!("{:.3}", r.traffic.get() as f64 / (8 * n) as f64),

@@ -3,12 +3,17 @@
 //!
 //! The lookup structures are packed for the simulator's hot path: tags
 //! live in a dense per-set array probed with an invalid-tag sentinel
-//! (no separate `valid` bitmap to load), the set index is a mask rather
-//! than a modulo, and each set remembers its most-recently-touched way
-//! so unit-stride streams resolve repeat hits in a single compare. All
-//! of this is observationally equivalent to the original linear scan:
-//! tick evolution, LRU stamps, victim choice, and statistics are
-//! bit-identical (golden snapshots pin this end to end).
+//! (no separate `valid` bitmap to load), and the set index is a mask
+//! rather than a modulo. Recency is one `u64` per set holding a
+//! permutation of the set's way indices, one nibble per way, most
+//! recent first: nibble 0 is the MRU way (probed first, so unit-stride
+//! streams resolve repeat hits in a single compare) and nibble
+//! `ways - 1` is the LRU way. A line costs 9 bytes (tag and dirty flag)
+//! plus 8 bytes per set. The order is exact LRU, not an approximation:
+//! it ranks the ways by their last touch, which is all a victim choice
+//! needs (golden snapshots pin victim choice and statistics end to end).
+//! Associativity is therefore capped at 16 ways (see
+//! [`CacheConfig::validate`]).
 
 use crate::config::CacheConfig;
 
@@ -16,6 +21,13 @@ use crate::config::CacheConfig;
 /// addresses shifted right by the line shift, so they can never reach
 /// `u64::MAX` (node heaps top out around bit 40).
 const INVALID_TAG: u64 = u64::MAX;
+
+/// A recency order before any touch: way `k` at rank `k`. Nibbles at
+/// ranks `>= ways` are never read or moved.
+const IDENTITY_ORDER: u64 = 0xFEDC_BA98_7654_3210;
+
+/// `0x1` in every nibble: multiplying a way index by it broadcasts it.
+const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
 
 /// Statistics one cache level keeps about its own behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,22 +58,18 @@ pub struct Cache {
     /// `sets * ways` tags; `INVALID_TAG` marks an empty way.
     tags: Vec<u64>,
     dirty: Vec<bool>,
-    /// Age counter of the last touch, for true-LRU victim selection.
-    stamp: Vec<u64>,
-    /// Per-set hint: the way touched most recently, probed first.
-    mru_way: Vec<u32>,
-    tick: u64,
+    /// Per-set recency order: nibble `k` is the way touched `k`-th most
+    /// recently. Invalid ways keep their place; victim choice skips
+    /// them by taking the first invalid way before consulting the order.
+    order: Vec<u64>,
     stats: CacheStats,
 }
 
 impl Cache {
     /// Builds a cache from its configuration.
     pub fn new(cfg: &CacheConfig) -> Self {
+        cfg.validate("cache");
         let sets = cfg.sets();
-        assert!(
-            sets.is_power_of_two(),
-            "cache set count must be a power of two"
-        );
         let ways = cfg.ways as usize;
         let slots = (sets as usize) * ways;
         Self {
@@ -69,9 +77,7 @@ impl Cache {
             ways,
             tags: vec![INVALID_TAG; slots],
             dirty: vec![false; slots],
-            stamp: vec![0; slots],
-            mru_way: vec![0; sets as usize],
-            tick: 0,
+            order: vec![IDENTITY_ORDER; sets as usize],
             stats: CacheStats::default(),
         }
     }
@@ -84,33 +90,79 @@ impl Cache {
         set * self.ways..(set + 1) * self.ways
     }
 
+    /// The slot of `set`'s most recently touched way.
+    #[inline]
+    fn mru_slot(&self, set: usize) -> usize {
+        set * self.ways + (self.order[set] & 0xF) as usize
+    }
+
+    /// The slot of `set`'s least recently touched way.
+    #[inline]
+    fn lru_slot(&self, set: usize) -> usize {
+        set * self.ways + ((self.order[set] >> (4 * (self.ways - 1))) & 0xF) as usize
+    }
+
+    /// Moves `slot`'s way to the front of its set's recency order.
+    #[inline]
+    fn touch(&mut self, set: usize, slot: usize) {
+        let way = (slot - set * self.ways) as u64;
+        let order = self.order[set];
+        if order & 0xF == way {
+            return;
+        }
+        // The way's rank is the lowest zero nibble of `order ^ way…way`;
+        // the borrow trick flags it exactly (false flags only appear
+        // above a true zero). Ranks below it shift up by one nibble.
+        let x = order ^ (way * NIBBLE_ONES);
+        let flags = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
+        let rank = flags.trailing_zeros() / 4;
+        debug_assert!(
+            (rank as usize) < self.ways,
+            "way missing from the recency order"
+        );
+        let below = (1u64 << (4 * rank)) - 1;
+        let above = !(below | (0xF << (4 * rank)));
+        self.order[set] = (order & above) | ((order & below) << 4) | way;
+    }
+
+    /// The slot a fill of an absent line into `set` evicts: the first
+    /// invalid way if `invalid` found one, else the LRU way.
+    #[inline]
+    fn victim(&self, set: usize, invalid: Option<usize>) -> usize {
+        invalid.unwrap_or_else(|| self.lru_slot(set))
+    }
+
     /// Finds the slot holding `line` in `set`, probing the MRU way first.
     #[inline]
     fn probe(&self, set: usize, line: u64) -> Option<usize> {
-        let base = set * self.ways;
-        let hint = base + self.mru_way[set] as usize;
+        let hint = self.mru_slot(set);
         if self.tags[hint] == line {
             return Some(hint);
         }
+        let base = set * self.ways;
         self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == line)
             .map(|way| base + way)
     }
 
+    /// Records a demand hit on `slot`: recency, dirtiness, statistics.
+    #[inline]
+    fn hit(&mut self, set: usize, slot: usize, write: bool, n: u64) {
+        self.touch(set, slot);
+        if write {
+            self.dirty[slot] = true;
+        }
+        self.stats.hits += n;
+    }
+
     /// Looks up a line; on a hit, refreshes LRU and (for writes) marks the
     /// line dirty. Returns whether it hit.
     #[inline]
     pub fn access(&mut self, line: u64, write: bool) -> bool {
-        self.tick += 1;
         let set = self.set_of(line);
         if let Some(slot) = self.probe(set, line) {
-            self.stamp[slot] = self.tick;
-            if write {
-                self.dirty[slot] = true;
-            }
-            self.stats.hits += 1;
-            self.mru_way[set] = (slot - set * self.ways) as u32;
+            self.hit(set, slot, write, 1);
             return true;
         }
         self.stats.misses += 1;
@@ -121,10 +173,9 @@ impl Cache {
     ///
     /// Observationally equivalent to calling [`Self::access`]`(line, write)`
     /// `n` times when the line is resident and nothing else touches the
-    /// cache in between: the tick advances by `n`, the line's stamp lands on
-    /// the final tick, dirtiness accumulates with OR, the hit counter grows
-    /// by `n`, and the MRU hint ends on this line's way — exactly the state
-    /// the per-access loop leaves behind.
+    /// cache in between: the first touch moves the line to the front of
+    /// its set's recency order and the rest leave it there, dirtiness
+    /// accumulates with OR, and the hit counter grows by `n`.
     ///
     /// # Panics
     ///
@@ -134,17 +185,11 @@ impl Cache {
         if n == 0 {
             return;
         }
-        self.tick += n;
         let set = self.set_of(line);
         let slot = self
             .probe(set, line)
             .expect("access_repeat requires a resident line");
-        self.stamp[slot] = self.tick;
-        if write {
-            self.dirty[slot] = true;
-        }
-        self.stats.hits += n;
-        self.mru_way[set] = (slot - set * self.ways) as u32;
+        self.hit(set, slot, write, n);
     }
 
     /// Checks residency without touching LRU or stats.
@@ -158,55 +203,34 @@ impl Cache {
     /// valid until this cache's next mutating operation; redeem it with
     /// [`Self::fill_at`].
     pub fn access_or_victim(&mut self, line: u64, write: bool) -> Result<(), usize> {
-        self.tick += 1;
         let set = self.set_of(line);
-        let base = set * self.ways;
-        let hint = base + self.mru_way[set] as usize;
+        let hint = self.mru_slot(set);
         if self.tags[hint] == line {
-            self.stamp[hint] = self.tick;
-            if write {
-                self.dirty[hint] = true;
-            }
-            self.stats.hits += 1;
+            self.hit(set, hint, write, 1);
             return Ok(());
         }
         let mut invalid = None;
-        let mut lru = usize::MAX;
-        let mut oldest = u64::MAX;
-        for slot in base..base + self.ways {
+        for slot in self.slot_range(set) {
             let tag = self.tags[slot];
             if tag == line {
-                self.stamp[slot] = self.tick;
-                if write {
-                    self.dirty[slot] = true;
-                }
-                self.stats.hits += 1;
-                self.mru_way[set] = (slot - base) as u32;
+                self.hit(set, slot, write, 1);
                 return Ok(());
             }
-            if tag == INVALID_TAG {
-                if invalid.is_none() {
-                    invalid = Some(slot);
-                }
-            } else if self.stamp[slot] < oldest {
-                oldest = self.stamp[slot];
-                lru = slot;
+            if tag == INVALID_TAG && invalid.is_none() {
+                invalid = Some(slot);
             }
         }
         self.stats.misses += 1;
-        let victim = invalid.unwrap_or(lru);
-        debug_assert!(victim != usize::MAX, "cache set has at least one way");
-        Err(victim)
+        Err(self.victim(set, invalid))
     }
 
     /// Installs `line` in `victim`, previously obtained from
     /// [`Self::access_or_victim`] with no intervening operation on this
-    /// cache. Identical state evolution to [`Self::fill_absent`]: the
-    /// stamps have not changed since the probe, so the victim choice is
-    /// the one `fill_absent`'s scan would make.
+    /// cache. Identical state evolution to [`Self::fill_absent`]: neither
+    /// the tags nor the recency order have changed since the probe, so
+    /// the victim is the one `fill_absent`'s scan would choose.
     pub fn fill_at(&mut self, victim: usize, line: u64, dirty: bool, prefetch: bool) -> Option<Writeback> {
         debug_assert!(!self.contains(line), "fill_at requires an absent line");
-        self.tick += 1;
         let set = self.set_of(line);
         debug_assert_eq!(victim / self.ways, set, "victim slot from another set");
         self.install(set, victim, line, dirty, prefetch)
@@ -218,42 +242,25 @@ impl Cache {
     /// `dirty` marks the new line dirty immediately (write-allocate stores);
     /// `prefetch` attributes the fill to the prefetcher in the stats.
     pub fn fill(&mut self, line: u64, dirty: bool, prefetch: bool) -> Option<Writeback> {
-        self.tick += 1;
         let set = self.set_of(line);
-        // One walk over the set decides everything: whether the line is
-        // already present (e.g. raced by a prefetch), the first invalid
-        // way, and the LRU victim. Strict `<` keeps the first-minimal
-        // way, matching `Iterator::min_by_key`; an invalid way always
-        // beats a valid one, matching the old early-break scan.
-        let mut found = None;
+        // One walk over the set decides whether the line is already
+        // present (e.g. raced by a prefetch) and finds the first invalid
+        // way; an invalid way always beats the LRU one.
         let mut invalid = None;
-        let mut lru = usize::MAX;
-        let mut oldest = u64::MAX;
         for slot in self.slot_range(set) {
             let tag = self.tags[slot];
             if tag == line {
-                found = Some(slot);
-                break;
-            }
-            if tag == INVALID_TAG {
-                if invalid.is_none() {
-                    invalid = Some(slot);
+                self.touch(set, slot);
+                if dirty {
+                    self.dirty[slot] = true;
                 }
-            } else if self.stamp[slot] < oldest {
-                oldest = self.stamp[slot];
-                lru = slot;
+                return None;
+            }
+            if tag == INVALID_TAG && invalid.is_none() {
+                invalid = Some(slot);
             }
         }
-        if let Some(slot) = found {
-            self.stamp[slot] = self.tick;
-            if dirty {
-                self.dirty[slot] = true;
-            }
-            self.mru_way[set] = (slot - set * self.ways) as u32;
-            return None;
-        }
-        let victim = invalid.unwrap_or(lru);
-        debug_assert!(victim != usize::MAX, "cache set has at least one way");
+        let victim = self.victim(set, invalid);
         self.install(set, victim, line, dirty, prefetch)
     }
 
@@ -262,34 +269,24 @@ impl Cache {
     /// presence scan is skipped, so the victim search can stop at the
     /// first invalid way. Identical state evolution to `fill` in that
     /// case — `fill`'s merged scan would have found no matching tag and
-    /// chosen the same first-invalid or first-minimal-stamp victim.
+    /// chosen the same first-invalid or LRU victim.
     pub fn fill_absent(&mut self, line: u64, dirty: bool, prefetch: bool) -> Option<Writeback> {
         debug_assert!(!self.contains(line), "fill_absent requires an absent line");
-        self.tick += 1;
         let set = self.set_of(line);
-        let mut victim = usize::MAX;
-        let mut oldest = u64::MAX;
-        for slot in self.slot_range(set) {
-            if self.tags[slot] == INVALID_TAG {
-                victim = slot;
-                break;
-            }
-            if self.stamp[slot] < oldest {
-                oldest = self.stamp[slot];
-                victim = slot;
-            }
-        }
-        debug_assert!(victim != usize::MAX, "cache set has at least one way");
+        let invalid = self
+            .slot_range(set)
+            .find(|&slot| self.tags[slot] == INVALID_TAG);
+        let victim = self.victim(set, invalid);
         self.install(set, victim, line, dirty, prefetch)
     }
 
     /// One-scan combination of `contains` and [`Self::fill_absent`] for
     /// the prefetch path: if `line` is already present, *nothing* changes
-    /// (no tick, no LRU refresh — exactly like a `contains` probe) and
-    /// `None` is returned; otherwise the line is installed as by
-    /// `fill_absent` and `Some(writeback)` is returned. The single walk
-    /// tracks presence and the victim together, so the caller avoids the
-    /// separate `contains` scan.
+    /// (no LRU refresh — exactly like a `contains` probe) and `None` is
+    /// returned; otherwise the line is installed as by `fill_absent` and
+    /// `Some(writeback)` is returned. The single walk tracks presence and
+    /// the victim together, so the caller avoids the separate `contains`
+    /// scan.
     pub fn fill_if_absent(
         &mut self,
         line: u64,
@@ -298,25 +295,16 @@ impl Cache {
     ) -> Option<Option<Writeback>> {
         let set = self.set_of(line);
         let mut invalid = None;
-        let mut lru = usize::MAX;
-        let mut oldest = u64::MAX;
         for slot in self.slot_range(set) {
             let tag = self.tags[slot];
             if tag == line {
                 return None;
             }
-            if tag == INVALID_TAG {
-                if invalid.is_none() {
-                    invalid = Some(slot);
-                }
-            } else if self.stamp[slot] < oldest {
-                oldest = self.stamp[slot];
-                lru = slot;
+            if tag == INVALID_TAG && invalid.is_none() {
+                invalid = Some(slot);
             }
         }
-        self.tick += 1;
-        let victim = invalid.unwrap_or(lru);
-        debug_assert!(victim != usize::MAX, "cache set has at least one way");
+        let victim = self.victim(set, invalid);
         Some(self.install(set, victim, line, dirty, prefetch))
     }
 
@@ -333,8 +321,7 @@ impl Cache {
         };
         self.tags[victim] = line;
         self.dirty[victim] = dirty;
-        self.stamp[victim] = self.tick;
-        self.mru_way[set] = (victim - set * self.ways) as u32;
+        self.touch(set, victim);
         if prefetch {
             self.stats.prefetch_fills += 1;
         }
@@ -528,15 +515,15 @@ mod tests {
 
     #[test]
     fn eviction_tie_break_is_first_minimal_way() {
-        // Both ways valid with distinct stamps; evicting twice in a row
-        // must walk the ways in stamp order, not slot order quirks.
+        // Both ways valid; evicting twice in a row must walk the ways in
+        // recency order, not slot order quirks.
         let mut c = tiny();
-        c.fill(0, false, false); // stamp 1, way 0
-        c.fill(4, false, false); // stamp 2, way 1
+        c.fill(0, false, false); // way 0
+        c.fill(4, false, false); // way 1, now MRU
         c.fill(8, false, false); // evicts way 0 (oldest)
         assert!(!c.contains(0));
         assert!(c.contains(4));
-        c.fill(12, false, false); // evicts way 1 (stamp 2 < stamp 3)
+        c.fill(12, false, false); // evicts way 1 (older than way 0's 8)
         assert!(!c.contains(4));
         assert!(c.contains(8));
         assert!(c.contains(12));

@@ -30,9 +30,15 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics when sizes are not power-of-two multiples of the line size or
-    /// the configuration has zero sets.
+    /// Panics when sizes are not power-of-two multiples of the line size,
+    /// the configuration has zero sets, or the associativity is outside
+    /// 1..=16 (the cache keeps each set's recency order in one `u64`, a
+    /// nibble per way).
     pub fn validate(&self, name: &str) {
+        assert!(
+            (1..=16).contains(&self.ways),
+            "{name}: associativity must be 1 to 16 ways"
+        );
         assert!(
             self.line_bytes.is_power_of_two(),
             "{name}: line size must be a power of two"
@@ -464,6 +470,14 @@ mod tests {
         let mut cfg = sandy_bridge_2s();
         cfg.cores = 5;
         cfg.turbo_ghz = vec![3.7; 5];
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity must be 1 to 16 ways")]
+    fn more_than_sixteen_ways_rejected() {
+        let mut cfg = sandy_bridge();
+        cfg.l3.ways = 32;
         cfg.validate();
     }
 

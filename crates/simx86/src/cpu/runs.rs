@@ -253,7 +253,7 @@ impl<'m> Cpu<'m> {
     /// in program order, and a deferred run is settled the moment any
     /// other line is touched, so deferral only ever coalesces consecutive
     /// program-order accesses to one resident line — the exact
-    /// tick/stamp/stats sequence of the per-instruction loop is preserved
+    /// recency/stats sequence of the per-instruction loop is preserved
     /// (`dirty |= write` accumulates across a mixed load/store run).
     fn run_mem_fused(&mut self, ops: &[PatOp], width: VecWidth, prec: Precision, iters: u64) {
         let bytes = width.bytes(prec);

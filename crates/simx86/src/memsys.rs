@@ -134,7 +134,7 @@ pub struct MemSystem {
     /// Soundness: evicting a line from a `ways`-associative L1 set
     /// requires `ways` distinct lines of that set to be demand-touched
     /// after it (the incoming fill plus every other resident way carrying
-    /// a newer LRU stamp; prefetches never fill L1). Every demand touch
+    /// a more recent touch; prefetches never fill L1). Every demand touch
     /// promotes its line to the hint's MRU slot — or, for wide accesses
     /// that insert only their trailing lines, fully replaces the list —
     /// so a line still present among the `hint_ways <= ways` entries has
@@ -347,7 +347,7 @@ impl MemSystem {
         // via the MRU way is one compare, and the hierarchy walk,
         // prefetcher, and fill logic are all skipped — exactly what the
         // slow path would have done on an L1 hit, with identical
-        // tick/stamp/stats evolution.
+        // recency-order and stats evolution.
         let base = core * HINT_STRIDE;
         if first == last
             && kind != AccessKind::StoreNt
@@ -397,7 +397,7 @@ impl MemSystem {
     /// the state change equals [`Self::access`]'s for a resident line
     /// (`Cache::access` + `hint_touch`, whichever path `access` would have
     /// taken) and the completion time is returned. On a miss the L1 has
-    /// already recorded it (tick + miss counter, exactly `access_line`'s
+    /// already recorded it (the miss counter, exactly `access_line`'s
     /// first step — `Cache::access` reads no clock, so performing it
     /// before the caller's fill-buffer admission stall is unobservable)
     /// and the caller must finish the access with [`Self::l1_miss_line`].
@@ -423,7 +423,7 @@ impl MemSystem {
     /// `n` further same-line hits after an initial [`Self::l1_hit_line`].
     /// The first hit left `line` in the hint's MRU slot, so the per-access
     /// `hint_touch` calls would all be no-ops; only the L1's own
-    /// tick/stamp/stats evolution remains, folded by `Cache::access_repeat`.
+    /// recency and stats update remains, folded by `Cache::access_repeat`.
     pub(crate) fn l1_hit_line_repeat(&mut self, core: usize, line: u64, write: bool, n: u64) {
         debug_assert_eq!(self.l1_hint[core * HINT_STRIDE], line);
         self.l1[core].access_repeat(line, write, n);
