@@ -78,9 +78,9 @@ pub mod harness {
         }
     }
 
-    /// L1-resident loads walking one page in 32-byte steps: all but one
-    /// access in two hits the line touched last, exercising the
-    /// unit-stride streaming fast path.
+    /// L1-resident loads walking one page in 32-byte steps: every access
+    /// hits, and every other one the line touched last, so this times the
+    /// L1 hit path (one MRU-first probe per access).
     pub fn bench_l1_hit_stream(accesses: u64) -> MicroResult {
         time_machine("l1_hit_stream", |m| {
             let buf = m.alloc(4096);

@@ -93,9 +93,10 @@ fn snb_machine_heap_stays_small() {
         "Machine::new(sandy_bridge()) heap: {bytes} bytes ({:.2} MiB)",
         bytes as f64 / MIB
     );
-    // 4 cores x (L1 512 + L2 4096 lines) + an L3 of 131072 lines, at 9
-    // bytes per line plus 8 bytes of recency order per set, is 1.43 MB
-    // of cache state; with the rest of the machine, 1.52 MB (1.45 MiB).
+    // 4 cores x (L1 512 + L2 4096 lines) + an L3 of 131072 lines, at 8
+    // bytes of tag per line plus 16 bytes of recency order and way masks
+    // per set, is 1.36 MB of cache state; with the rest of the machine,
+    // 1.46 MB (1.39 MiB).
     assert!(
         bytes < 3 << 19,
         "an snb machine holds {bytes} heap bytes, above the 1.5 MiB bound"

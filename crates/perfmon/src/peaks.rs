@@ -241,9 +241,27 @@ pub fn measure_bandwidth(
     threads: usize,
     bytes_per_buffer: u64,
 ) -> GBytesPerSec {
+    let (moved, seconds) = bandwidth_run(machine, pattern, threads, bytes_per_buffer);
+    GBytesPerSec::new(moved as f64 / seconds / 1e9)
+}
+
+/// Slices each thread's range is cut into for `run_parallel`.
+const BW_SLICES: usize = 16;
+
+/// The cold run behind [`measure_bandwidth`]: the bytes it credits and
+/// the seconds it took.
+fn bandwidth_run(
+    machine: &mut Machine,
+    pattern: BwPattern,
+    threads: usize,
+    bytes_per_buffer: u64,
+) -> (u64, f64) {
     assert!(threads > 0, "need at least one thread");
     assert!(bytes_per_buffer >= 32, "buffer smaller than one vector");
     let n = bytes_per_buffer / 8;
+    // One vector instruction moves a group of four elements; a partial
+    // trailing group is neither executed nor credited.
+    let groups = n / 4;
     let mut per_thread: Vec<Vec<Buffer>> = Vec::new();
     for _ in 0..threads {
         per_thread.push(
@@ -258,12 +276,18 @@ pub fn measure_bandwidth(
         machine.run(0, |cpu| emit_bandwidth_pass(cpu, pattern, &per_thread[0], 0..n));
     } else {
         let per_thread = &per_thread;
+        // Whole groups per slice, so no slice starts mid-group; the last
+        // slice takes the remainder.
+        let chunk = groups / BW_SLICES as u64 * 4;
         let programs: Vec<Box<dyn ThreadProgram + '_>> = (0..threads)
             .map(|t| {
-                Box::new(SlicedFn::new(16, move |cpu: &mut Cpu<'_>, s| {
-                    let chunk = n / 16;
+                Box::new(SlicedFn::new(BW_SLICES, move |cpu: &mut Cpu<'_>, s| {
                     let start = s as u64 * chunk;
-                    let end = if s == 15 { n } else { start + chunk };
+                    let end = if s == BW_SLICES - 1 {
+                        groups * 4
+                    } else {
+                        start + chunk
+                    };
                     emit_bandwidth_pass(cpu, pattern, &per_thread[t], start..end);
                 })) as Box<dyn ThreadProgram>
             })
@@ -271,8 +295,8 @@ pub fn measure_bandwidth(
         machine.run_parallel(programs);
     }
     let seconds = (machine.tsc() - t0) / machine.tsc_hz();
-    let moved = (n / 4 * 4) * pattern.bytes_per_element() * threads as u64;
-    GBytesPerSec::new(moved as f64 / seconds / 1e9)
+    let moved = groups * 4 * pattern.bytes_per_element() * threads as u64;
+    (moved, seconds)
 }
 
 /// Measures *warm* (cache-resident) bandwidth: allocate, prime one pass,
@@ -312,6 +336,7 @@ pub fn measure_bandwidth_warm(
 mod tests {
     use super::*;
     use simx86::config::{haswell, sandy_bridge, test_machine};
+    use simx86::pmu::CoreEvent;
 
     const P: Precision = Precision::F64;
 
@@ -387,6 +412,19 @@ mod tests {
             nt.get() > copy.get(),
             "NT copy ({nt}) should beat write-allocate copy ({copy})"
         );
+    }
+
+    #[test]
+    fn multithread_bandwidth_credits_exactly_the_loads_retired() {
+        // 51,456 B is 1,608 four-element groups per thread: not a multiple
+        // of the 16 slices, so the slices must split whole groups.
+        let mut m = Machine::new(sandy_bridge());
+        let (moved, _) = bandwidth_run(&mut m, BwPattern::Read, 2, 51_456);
+        let loads: u64 = (0..2)
+            .map(|c| m.core_counters(c).get(CoreEvent::LoadsRetired))
+            .sum();
+        assert_eq!(loads, 2 * 1_608);
+        assert_eq!(loads * 32, moved, "every credited byte must be loaded");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! indistinguishable from no injector at all.
 
 use perfmon::harness::{emit_triad_region, MeasureConfig, Measurer};
-use perfmon::peaks::{emit_peak_stream, Mix};
+use perfmon::peaks::{emit_peak_stream, measure_peak_compute, Mix};
 use proptest::prelude::*;
 use simx86::config::{sandy_bridge, test_machine};
-use simx86::isa::{Precision, VecWidth};
+use simx86::isa::{FpOp, Precision, Reg, VecWidth};
 use simx86::{FaultConfig, Machine, MachineConfig};
 
 fn faulty(base: MachineConfig, fault: FaultConfig) -> Machine {
@@ -132,6 +132,23 @@ fn clean_machine_produces_clean_report() {
     assert_eq!(r.integrity.verdict(), "ok");
 }
 
+/// An FP-only batched run: the steady-state closed-form path.
+fn measure_fp_run(m: &mut Machine) -> perfmon::RegionMeasurement {
+    let accs: Vec<Reg> = (0..8).map(Reg::new).collect();
+    let mut meas = Measurer::new(m, MeasureConfig::default());
+    meas.measure(|cpu| {
+        cpu.fp_run(
+            FpOp::Add,
+            &accs,
+            Reg::new(14),
+            Reg::new(15),
+            VecWidth::Y256,
+            Precision::F64,
+            100_000,
+        )
+    })
+}
+
 #[test]
 fn zero_rate_injector_is_byte_identical_to_no_injector() {
     let mut clean = Machine::new(test_machine());
@@ -140,6 +157,15 @@ fn zero_rate_injector_is_byte_identical_to_no_injector() {
     let a = measure_triad(&mut clean, 4096);
     let b = measure_triad(&mut armed, 4096);
     assert_eq!(a, b, "a zero-rate injector must not perturb anything");
+    // Batched runs take the same path on an armed machine.
+    assert_eq!(measure_fp_run(&mut clean), measure_fp_run(&mut armed));
+    let peak = |m: &mut Machine| {
+        measure_peak_compute(m, VecWidth::Y256, Precision::F64, Mix::Balanced, 1, 100_000)
+    };
+    assert_eq!(
+        peak(&mut clean).get().to_bits(),
+        peak(&mut armed).get().to_bits()
+    );
 }
 
 proptest! {

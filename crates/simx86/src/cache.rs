@@ -2,18 +2,19 @@
 //! replacement, operating on 64-byte line addresses.
 //!
 //! The lookup structures are packed for the simulator's hot path: tags
-//! live in a dense per-set array probed with an invalid-tag sentinel
-//! (no separate `valid` bitmap to load), and the set index is a mask
-//! rather than a modulo. Recency is one `u64` per set holding a
-//! permutation of the set's way indices, one nibble per way, most
-//! recent first: nibble 0 is the MRU way (probed first, so unit-stride
-//! streams resolve repeat hits in a single compare) and nibble
-//! `ways - 1` is the LRU way. A line costs 9 bytes (tag and dirty flag)
-//! plus 8 bytes per set. The order is exact LRU, not an approximation:
-//! it ranks the ways by their last touch, which is all a victim choice
-//! needs (golden snapshots pin victim choice and statistics end to end).
-//! Associativity is therefore capped at 16 ways (see
-//! [`CacheConfig::validate`]).
+//! live in a dense per-set array probed with an invalid-tag sentinel,
+//! and the set index is a mask rather than a modulo. Beside the tags,
+//! each set keeps one [`SetState`]: its recency order (a permutation of
+//! the set's way indices, one nibble per way, most recent first: nibble
+//! 0 is the MRU way, probed first so unit-stride streams resolve repeat
+//! hits in a single compare, and nibble `ways - 1` is the LRU way) and
+//! `u16` masks of its valid and dirty ways. The first invalid way is the
+//! valid mask's trailing-ones count, so choosing a victim never scans
+//! the set. A line costs 8 bytes (its tag) plus 16 bytes per set. The
+//! order is exact LRU, not an approximation: it ranks the ways by their
+//! last touch, which is all a victim choice needs (golden snapshots pin
+//! victim choice and statistics end to end). Associativity is therefore
+//! capped at 16 ways (see [`CacheConfig::validate`]).
 
 use crate::config::CacheConfig;
 
@@ -50,18 +51,29 @@ pub struct Writeback {
     pub line: u64,
 }
 
+/// Per-set replacement state.
+#[derive(Debug, Clone, Copy)]
+struct SetState {
+    /// Nibble `k` is the way touched `k`-th most recently. Invalid ways
+    /// keep their place; victim choice takes the first invalid way before
+    /// consulting the order.
+    order: u64,
+    /// Bit `w` is set while way `w` holds a line.
+    valid: u16,
+    /// Bit `w` is set while way `w` holds a modified line (a subset of
+    /// `valid`).
+    dirty: u16,
+}
+
 /// One cache level.
 #[derive(Debug, Clone)]
 pub struct Cache {
     set_mask: u64,
     ways: usize,
-    /// `sets * ways` tags; `INVALID_TAG` marks an empty way.
+    /// `sets * ways` tags; `INVALID_TAG` marks an empty way. Way `w` of
+    /// set `s` lives in slot `s * ways + w`.
     tags: Vec<u64>,
-    dirty: Vec<bool>,
-    /// Per-set recency order: nibble `k` is the way touched `k`-th most
-    /// recently. Invalid ways keep their place; victim choice skips
-    /// them by taking the first invalid way before consulting the order.
-    order: Vec<u64>,
+    sets: Vec<SetState>,
     stats: CacheStats,
 }
 
@@ -71,42 +83,32 @@ impl Cache {
         cfg.validate("cache");
         let sets = cfg.sets();
         let ways = cfg.ways as usize;
-        let slots = (sets as usize) * ways;
         Self {
             set_mask: sets - 1,
             ways,
-            tags: vec![INVALID_TAG; slots],
-            dirty: vec![false; slots],
-            order: vec![IDENTITY_ORDER; sets as usize],
+            tags: vec![INVALID_TAG; sets as usize * ways],
+            sets: vec![
+                SetState {
+                    order: IDENTITY_ORDER,
+                    valid: 0,
+                    dirty: 0,
+                };
+                sets as usize
+            ],
             stats: CacheStats::default(),
         }
     }
 
-    fn set_of(&self, line: u64) -> usize {
+    /// The set `line` maps to.
+    pub(crate) fn set_of(&self, line: u64) -> usize {
         (line & self.set_mask) as usize
-    }
-
-    fn slot_range(&self, set: usize) -> std::ops::Range<usize> {
-        set * self.ways..(set + 1) * self.ways
-    }
-
-    /// The slot of `set`'s most recently touched way.
-    #[inline]
-    fn mru_slot(&self, set: usize) -> usize {
-        set * self.ways + (self.order[set] & 0xF) as usize
-    }
-
-    /// The slot of `set`'s least recently touched way.
-    #[inline]
-    fn lru_slot(&self, set: usize) -> usize {
-        set * self.ways + ((self.order[set] >> (4 * (self.ways - 1))) & 0xF) as usize
     }
 
     /// Moves `slot`'s way to the front of its set's recency order.
     #[inline]
     fn touch(&mut self, set: usize, slot: usize) {
         let way = (slot - set * self.ways) as u64;
-        let order = self.order[set];
+        let order = self.sets[set].order;
         if order & 0xF == way {
             return;
         }
@@ -122,24 +124,31 @@ impl Cache {
         );
         let below = (1u64 << (4 * rank)) - 1;
         let above = !(below | (0xF << (4 * rank)));
-        self.order[set] = (order & above) | ((order & below) << 4) | way;
+        self.sets[set].order = (order & above) | ((order & below) << 4) | way;
     }
 
     /// The slot a fill of an absent line into `set` evicts: the first
-    /// invalid way if `invalid` found one, else the LRU way.
+    /// invalid way, else the LRU way.
     #[inline]
-    fn victim(&self, set: usize, invalid: Option<usize>) -> usize {
-        invalid.unwrap_or_else(|| self.lru_slot(set))
+    fn victim(&self, set: usize) -> usize {
+        let state = self.sets[set];
+        let free = state.valid.trailing_ones() as usize;
+        let way = if free < self.ways {
+            free
+        } else {
+            ((state.order >> (4 * (self.ways - 1))) & 0xF) as usize
+        };
+        set * self.ways + way
     }
 
     /// Finds the slot holding `line` in `set`, probing the MRU way first.
     #[inline]
     fn probe(&self, set: usize, line: u64) -> Option<usize> {
-        let hint = self.mru_slot(set);
+        let base = set * self.ways;
+        let hint = base + (self.sets[set].order & 0xF) as usize;
         if self.tags[hint] == line {
             return Some(hint);
         }
-        let base = set * self.ways;
         self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == line)
@@ -148,48 +157,19 @@ impl Cache {
 
     /// Records a demand hit on `slot`: recency, dirtiness, statistics.
     #[inline]
-    fn hit(&mut self, set: usize, slot: usize, write: bool, n: u64) {
+    fn hit(&mut self, set: usize, slot: usize, write: bool) {
         self.touch(set, slot);
         if write {
-            self.dirty[slot] = true;
+            self.sets[set].dirty |= 1 << (slot - set * self.ways);
         }
-        self.stats.hits += n;
+        self.stats.hits += 1;
     }
 
     /// Looks up a line; on a hit, refreshes LRU and (for writes) marks the
     /// line dirty. Returns whether it hit.
     #[inline]
     pub fn access(&mut self, line: u64, write: bool) -> bool {
-        let set = self.set_of(line);
-        if let Some(slot) = self.probe(set, line) {
-            self.hit(set, slot, write, 1);
-            return true;
-        }
-        self.stats.misses += 1;
-        false
-    }
-
-    /// `n` consecutive hits to a resident line, folded into one update.
-    ///
-    /// Observationally equivalent to calling [`Self::access`]`(line, write)`
-    /// `n` times when the line is resident and nothing else touches the
-    /// cache in between: the first touch moves the line to the front of
-    /// its set's recency order and the rest leave it there, dirtiness
-    /// accumulates with OR, and the hit counter grows by `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is not resident (the batched caller must have
-    /// proved residency, e.g. via the L1 hint list).
-    pub fn access_repeat(&mut self, line: u64, write: bool, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let set = self.set_of(line);
-        let slot = self
-            .probe(set, line)
-            .expect("access_repeat requires a resident line");
-        self.hit(set, slot, write, n);
+        self.access_or_victim(line, write).is_ok()
     }
 
     /// Checks residency without touching LRU or stats.
@@ -198,120 +178,56 @@ impl Cache {
     }
 
     /// [`Self::access`] that, on a miss, also reports the slot a
-    /// subsequent fill of `line` would evict — the miss probe walks the
-    /// whole set anyway, so the victim comes for free. The slot stays
-    /// valid until this cache's next mutating operation; redeem it with
+    /// subsequent fill of `line` would evict. Redeem it with
     /// [`Self::fill_at`].
+    #[inline]
     pub fn access_or_victim(&mut self, line: u64, write: bool) -> Result<(), usize> {
         let set = self.set_of(line);
-        let hint = self.mru_slot(set);
-        if self.tags[hint] == line {
-            self.hit(set, hint, write, 1);
-            return Ok(());
-        }
-        let mut invalid = None;
-        for slot in self.slot_range(set) {
-            let tag = self.tags[slot];
-            if tag == line {
-                self.hit(set, slot, write, 1);
-                return Ok(());
+        match self.probe(set, line) {
+            Some(slot) => {
+                self.hit(set, slot, write);
+                Ok(())
             }
-            if tag == INVALID_TAG && invalid.is_none() {
-                invalid = Some(slot);
+            None => {
+                self.stats.misses += 1;
+                Err(self.victim(set))
             }
         }
-        self.stats.misses += 1;
-        Err(self.victim(set, invalid))
     }
 
-    /// Installs `line` in `victim`, previously obtained from
-    /// [`Self::access_or_victim`] with no intervening operation on this
-    /// cache. Identical state evolution to [`Self::fill_absent`]: neither
-    /// the tags nor the recency order have changed since the probe, so
-    /// the victim is the one `fill_absent`'s scan would choose.
-    pub fn fill_at(&mut self, victim: usize, line: u64, dirty: bool, prefetch: bool) -> Option<Writeback> {
-        debug_assert!(!self.contains(line), "fill_at requires an absent line");
+    /// The slot a fill of `line` would evict, or `None` if `line` is
+    /// resident. Like [`Self::contains`], it touches neither LRU nor
+    /// stats. Redeem the slot with [`Self::fill_at`].
+    pub fn victim_if_absent(&self, line: u64) -> Option<usize> {
         let set = self.set_of(line);
-        debug_assert_eq!(victim / self.ways, set, "victim slot from another set");
-        self.install(set, victim, line, dirty, prefetch)
+        match self.probe(set, line) {
+            Some(_) => None,
+            None => Some(self.victim(set)),
+        }
     }
 
-    /// Installs a line (after a miss was serviced), evicting the LRU way.
+    /// Installs the absent `line` in `victim`, a slot obtained from
+    /// [`Self::access_or_victim`] or [`Self::victim_if_absent`] for this
+    /// line with no change to its set in between (other sets may change).
+    /// Neither the set's tags, masks nor recency order have moved since
+    /// the probe, so the victim is the one a fresh probe would choose.
     /// Returns the dirty line that must be written back, if any.
     ///
     /// `dirty` marks the new line dirty immediately (write-allocate stores);
     /// `prefetch` attributes the fill to the prefetcher in the stats.
-    pub fn fill(&mut self, line: u64, dirty: bool, prefetch: bool) -> Option<Writeback> {
-        let set = self.set_of(line);
-        // One walk over the set decides whether the line is already
-        // present (e.g. raced by a prefetch) and finds the first invalid
-        // way; an invalid way always beats the LRU one.
-        let mut invalid = None;
-        for slot in self.slot_range(set) {
-            let tag = self.tags[slot];
-            if tag == line {
-                self.touch(set, slot);
-                if dirty {
-                    self.dirty[slot] = true;
-                }
-                return None;
-            }
-            if tag == INVALID_TAG && invalid.is_none() {
-                invalid = Some(slot);
-            }
-        }
-        let victim = self.victim(set, invalid);
-        self.install(set, victim, line, dirty, prefetch)
-    }
-
-    /// [`Self::fill`] for a line the caller has just proven absent (by a
-    /// failed `access` or `contains` with no intervening operation): the
-    /// presence scan is skipped, so the victim search can stop at the
-    /// first invalid way. Identical state evolution to `fill` in that
-    /// case — `fill`'s merged scan would have found no matching tag and
-    /// chosen the same first-invalid or LRU victim.
-    pub fn fill_absent(&mut self, line: u64, dirty: bool, prefetch: bool) -> Option<Writeback> {
-        debug_assert!(!self.contains(line), "fill_absent requires an absent line");
-        let set = self.set_of(line);
-        let invalid = self
-            .slot_range(set)
-            .find(|&slot| self.tags[slot] == INVALID_TAG);
-        let victim = self.victim(set, invalid);
-        self.install(set, victim, line, dirty, prefetch)
-    }
-
-    /// One-scan combination of `contains` and [`Self::fill_absent`] for
-    /// the prefetch path: if `line` is already present, *nothing* changes
-    /// (no LRU refresh — exactly like a `contains` probe) and `None` is
-    /// returned; otherwise the line is installed as by `fill_absent` and
-    /// `Some(writeback)` is returned. The single walk tracks presence and
-    /// the victim together, so the caller avoids the separate `contains`
-    /// scan.
-    pub fn fill_if_absent(
+    pub fn fill_at(
         &mut self,
+        victim: usize,
         line: u64,
         dirty: bool,
         prefetch: bool,
-    ) -> Option<Option<Writeback>> {
+    ) -> Option<Writeback> {
+        debug_assert!(!self.contains(line), "fill_at requires an absent line");
         let set = self.set_of(line);
-        let mut invalid = None;
-        for slot in self.slot_range(set) {
-            let tag = self.tags[slot];
-            if tag == line {
-                return None;
-            }
-            if tag == INVALID_TAG && invalid.is_none() {
-                invalid = Some(slot);
-            }
-        }
-        let victim = self.victim(set, invalid);
-        Some(self.install(set, victim, line, dirty, prefetch))
-    }
-
-    /// Shared tail of the fill paths: evict `victim`, install `line`.
-    #[inline]
-    fn install(&mut self, set: usize, victim: usize, line: u64, dirty: bool, prefetch: bool) -> Option<Writeback> {
-        let wb = if self.tags[victim] != INVALID_TAG && self.dirty[victim] {
+        debug_assert_eq!(victim, self.victim(set), "stale victim slot");
+        let bit = 1u16 << (victim - set * self.ways);
+        let state = &mut self.sets[set];
+        let wb = if state.dirty & bit != 0 {
             self.stats.writebacks += 1;
             Some(Writeback {
                 line: self.tags[victim],
@@ -319,8 +235,13 @@ impl Cache {
         } else {
             None
         };
+        state.valid |= bit;
+        if dirty {
+            state.dirty |= bit;
+        } else {
+            state.dirty &= !bit;
+        }
         self.tags[victim] = line;
-        self.dirty[victim] = dirty;
         self.touch(set, victim);
         if prefetch {
             self.stats.prefetch_fills += 1;
@@ -328,29 +249,51 @@ impl Cache {
         wb
     }
 
+    /// Installs a line (after a miss was serviced), evicting the LRU way.
+    /// A line that is already present (e.g. raced by a prefetch) is only
+    /// refreshed, and marked dirty if `dirty`. Returns the dirty line that
+    /// must be written back, if any.
+    pub fn fill(&mut self, line: u64, dirty: bool, prefetch: bool) -> Option<Writeback> {
+        let set = self.set_of(line);
+        match self.probe(set, line) {
+            Some(slot) => {
+                self.touch(set, slot);
+                if dirty {
+                    self.sets[set].dirty |= 1 << (slot - set * self.ways);
+                }
+                None
+            }
+            None => self.fill_at(self.victim(set), line, dirty, prefetch),
+        }
+    }
+
     /// Invalidates a line if present, returning whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
         let set = self.set_of(line);
-        if let Some(slot) = self.probe(set, line) {
-            self.tags[slot] = INVALID_TAG;
-            let was_dirty = self.dirty[slot];
-            self.dirty[slot] = false;
-            return Some(was_dirty);
-        }
-        None
+        let slot = self.probe(set, line)?;
+        let bit = 1u16 << (slot - set * self.ways);
+        self.tags[slot] = INVALID_TAG;
+        let state = &mut self.sets[set];
+        let was_dirty = state.dirty & bit != 0;
+        state.valid &= !bit;
+        state.dirty &= !bit;
+        Some(was_dirty)
     }
 
-    /// Drops every line, returning the dirty line addresses (they would be
-    /// written back by a real `wbinvd`).
+    /// Drops every line, returning the dirty line addresses in slot order
+    /// (they would be written back by a real `wbinvd`).
     pub fn flush(&mut self) -> Vec<u64> {
         let mut dirty_lines = Vec::new();
-        for slot in 0..self.tags.len() {
-            if self.tags[slot] != INVALID_TAG && self.dirty[slot] {
-                dirty_lines.push(self.tags[slot]);
+        for (set, state) in self.sets.iter_mut().enumerate() {
+            let mut dirty = state.dirty;
+            while dirty != 0 {
+                dirty_lines.push(self.tags[set * self.ways + dirty.trailing_zeros() as usize]);
+                dirty &= dirty - 1;
             }
-            self.tags[slot] = INVALID_TAG;
-            self.dirty[slot] = false;
+            state.valid = 0;
+            state.dirty = 0;
         }
+        self.tags.fill(INVALID_TAG);
         dirty_lines
     }
 
@@ -366,7 +309,10 @@ impl Cache {
 
     /// Number of currently valid lines (for tests and debugging).
     pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
+        self.sets
+            .iter()
+            .map(|s| s.valid.count_ones() as usize)
+            .sum()
     }
 
     /// Total capacity in lines.

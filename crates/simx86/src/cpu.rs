@@ -29,14 +29,12 @@ mod runs;
 
 pub use runs::PatOp;
 
-/// Port-class indices into [`CoreState`]'s slot trackers (used by the
+/// FP port-class indices into [`CoreState`]'s slot trackers (used by the
 /// batched-run machinery to record and replay per-class issue schedules).
 pub(crate) const CLASS_ADD: usize = 0;
 pub(crate) const CLASS_MUL: usize = 1;
 pub(crate) const CLASS_FMA: usize = 2;
-pub(crate) const CLASS_LOAD: usize = 3;
-pub(crate) const CLASS_STORE: usize = 4;
-pub(crate) const NCLASS: usize = 5;
+pub(crate) const NCLASS: usize = 3;
 
 /// Mutable per-core state that persists across run slices.
 #[derive(Debug, Clone)]
@@ -55,8 +53,10 @@ pub struct CoreState {
     fma_ports: PortSlots,
     load_ports: PortSlots,
     store_ports: PortSlots,
-    /// Completion times (TSC) of in-flight L1 misses.
-    fill: Vec<f64>,
+    /// Completion times (TSC) of in-flight L1 misses, ascending. Only the
+    /// multiset is observable (admission reads the count and the earliest
+    /// value), so keeping it sorted changes nothing but the cost.
+    fill: std::collections::VecDeque<f64>,
     /// Completion times (core cycles) of the last `rob_size` instructions.
     rob: std::collections::VecDeque<f64>,
     /// The core's PMU bank.
@@ -85,7 +85,8 @@ struct PortSlots {
     /// Absolute cycle represented by ring index `head`.
     base: u64,
     head: usize,
-    used: Vec<u8>,
+    /// Issues per cycle, a ring indexed with `& SLOT_MASK`.
+    used: Box<[u8; SLOT_WINDOW]>,
     /// Every cycle in `[full_start, full_end)` is verified fully
     /// occupied. Slot occupancy only ever grows within the window, so the
     /// interval stays valid forever; scans starting inside it jump
@@ -101,13 +102,18 @@ struct PortSlots {
 /// longest latency, in practice a few hundred cycles).
 const SLOT_WINDOW: usize = 4096;
 
-/// `x.ceil() as u64` for non-negative `x` below 2^63, without the libm
-/// call the baseline x86-64 target lowers `f64::ceil` to. Sits on the
-/// issue-slot critical path.
+/// Ring-index mask of the slot window (its length is a power of two).
+const SLOT_MASK: usize = SLOT_WINDOW - 1;
+
+/// `x.ceil() as i64` for `|x|` below 2^63, without the libm call the
+/// baseline x86-64 target lowers `f64::ceil` to. Sits on the issue-slot
+/// critical path. The round trip goes through `i64` because it is one
+/// instruction each way there; baseline x86-64 has no single-instruction
+/// `u64` conversion.
 #[inline(always)]
-fn ceil_u64(x: f64) -> u64 {
-    let t = x as u64;
-    t + ((t as f64) < x) as u64
+fn ceil_i64(x: f64) -> i64 {
+    let t = x as i64;
+    t + ((t as f64) < x) as i64
 }
 
 impl PortSlots {
@@ -116,7 +122,7 @@ impl PortSlots {
             ports: ports.clamp(1, 255) as u8,
             base: 0,
             head: 0,
-            used: vec![0; SLOT_WINDOW],
+            used: Box::new([0; SLOT_WINDOW]),
             full_start: 0,
             full_end: 0,
         }
@@ -125,7 +131,7 @@ impl PortSlots {
     fn reset(&mut self) {
         self.base = 0;
         self.head = 0;
-        self.used.iter_mut().for_each(|u| *u = 0);
+        self.used.fill(0);
         self.full_start = 0;
         self.full_end = 0;
     }
@@ -143,7 +149,7 @@ impl PortSlots {
             self.used[self.head..self.head + contiguous].fill(0);
             self.used[..by - contiguous].fill(0);
         }
-        self.head = (self.head + (by as usize % SLOT_WINDOW)) % SLOT_WINDOW;
+        self.head = self.head.wrapping_add(by as usize) & SLOT_MASK;
         self.base += by;
     }
 
@@ -151,10 +157,9 @@ impl PortSlots {
     /// holding the slot's port for `occupy` cycles (1 for pipelined ops,
     /// the full latency for unpipelined divides). Returns the start cycle.
     fn issue(&mut self, ready: f64, occupy: f64) -> f64 {
-        let mut c = ceil_u64(ready.max(0.0));
-        if c < self.base {
-            c = self.base;
-        }
+        // Cycle numbers stay far below 2^63, so the signed conversions
+        // here and at the return are exact.
+        let mut c = ceil_i64(ready).max(self.base as i64) as u64;
         // Cycles inside the verified-full interval cannot accept an issue,
         // so a scan starting there jumps to its end — skipping them
         // changes nothing but the scan length. `merge` records whether the
@@ -170,7 +175,11 @@ impl PortSlots {
         // Pipelined ops (`occupy <= 1`) are the overwhelming majority;
         // skipping the ceil/max/convert chain for them shortens the
         // serial dependency path this function sits on.
-        let span = if occupy <= 1.0 { 1 } else { ceil_u64(occupy) };
+        let span = if occupy <= 1.0 {
+            1
+        } else {
+            ceil_i64(occupy) as u64
+        };
         loop {
             if c + span >= self.base + SLOT_WINDOW as u64 {
                 // Quantized slide: always a multiple of W/4, computed in
@@ -185,7 +194,7 @@ impl PortSlots {
                     c = self.base;
                 }
             }
-            let idx = (self.head + (c - self.base) as usize) % SLOT_WINDOW;
+            let idx = (self.head + (c - self.base) as usize) & SLOT_MASK;
             if self.used[idx] < self.ports {
                 self.used[idx] += 1;
                 let now_full = self.used[idx] >= self.ports;
@@ -203,10 +212,10 @@ impl PortSlots {
                 // remaining cycles (divides are rare; exact per-port
                 // tracking is not worth the bookkeeping).
                 for extra in 1..span {
-                    let j = (self.head + (c - self.base + extra) as usize) % SLOT_WINDOW;
+                    let j = (self.head + (c - self.base + extra) as usize) & SLOT_MASK;
                     self.used[j] = self.used[j].saturating_add(self.ports);
                 }
-                return c as f64;
+                return c as i64 as f64;
             }
             c += 1;
         }
@@ -224,7 +233,7 @@ impl CoreState {
             fma_ports: PortSlots::new(cfg.fp.fma_ports),
             load_ports: PortSlots::new(cfg.load_ports),
             store_ports: PortSlots::new(cfg.store_ports),
-            fill: Vec::with_capacity(cfg.fill_buffers),
+            fill: std::collections::VecDeque::with_capacity(cfg.fill_buffers + 1),
             rob: std::collections::VecDeque::with_capacity(cfg.rob_size as usize),
             counters: CoreCounters::default(),
             horizon: 0.0,
@@ -254,14 +263,12 @@ impl CoreState {
         self.front.max(self.horizon)
     }
 
-    /// The slot tracker of one port class, by index.
+    /// The slot tracker of one FP port class, by index.
     fn class_ports_mut(&mut self, class: usize) -> &mut PortSlots {
         match class {
             CLASS_ADD => &mut self.add_ports,
             CLASS_MUL => &mut self.mul_ports,
-            CLASS_FMA => &mut self.fma_ports,
-            CLASS_LOAD => &mut self.load_ports,
-            _ => &mut self.store_ports,
+            _ => &mut self.fma_ports,
         }
     }
 
@@ -298,10 +305,6 @@ pub struct Cpu<'m> {
     pub(crate) tsc_per_cc: f64,
     /// Cap on in-flight L1 misses.
     pub(crate) fill_cap: usize,
-    /// Whether batched-run fast paths may run. Cleared when a fault config
-    /// is armed: the batch paths are bit-exact against the per-instruction
-    /// oracle, but fault experiments pin the oracle itself.
-    pub(crate) batch: bool,
 }
 
 impl<'m> Cpu<'m> {
@@ -534,21 +537,26 @@ impl<'m> Cpu<'m> {
     /// Admission control for line-fill buffers: returns the TSC time at
     /// which a new L1 miss may issue, given it wants to issue at `want`.
     fn fill_admit(&mut self, want: f64) -> f64 {
-        // Drop completed entries.
-        self.state.fill.retain(|&c| c > want);
-        if self.state.fill.len() < self.fill_cap {
+        // Drop completed entries: a prefix of the ascending list.
+        let fill = &mut self.state.fill;
+        while fill.front().is_some_and(|&c| c <= want) {
+            fill.pop_front();
+        }
+        if fill.len() < self.fill_cap {
             return want;
         }
         // Wait for the earliest in-flight miss to complete.
-        let (idx, &earliest) = self
-            .state
-            .fill
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .expect("fill buffers nonempty");
-        self.state.fill.swap_remove(idx);
-        want.max(earliest)
+        fill.pop_front().expect("fill buffers nonempty")
+    }
+
+    /// Records an in-flight L1 miss completing at `done` (TSC).
+    fn fill_track(&mut self, done: f64) {
+        let fill = &mut self.state.fill;
+        if fill.back().is_none_or(|&c| c <= done) {
+            fill.push_back(done);
+        } else {
+            fill.insert(fill.partition_point(|&c| c <= done), done);
+        }
     }
 
     fn mem_exec(&mut self, kind: AccessKind, dst: Option<Reg>, addr: u64, bytes: u64) -> f64 {
@@ -566,8 +574,7 @@ impl<'m> Cpu<'m> {
             // Single-line demand access: hit/miss decided by one L1 probe.
             // The probe's L1 update is clock-independent, and the
             // fill-buffer admission below only touches `state.fill`, so
-            // probing before the admission stall is unobservable (the same
-            // commutation the batched fused loop relies on).
+            // probing before the admission stall is unobservable.
             match self.mem.l1_try_hit(
                 self.core_id,
                 first,
@@ -578,18 +585,19 @@ impl<'m> Cpu<'m> {
                 Err(victim) => {
                     // Only L1 misses consume fill buffers.
                     let admitted = self.fill_admit(start_tsc);
-                    let res = self.mem.l1_miss_line(
-                        self.core_id,
-                        first,
-                        kind,
-                        admitted,
-                        &mut self.state.counters,
-                        victim,
-                    );
-                    if res.l1_miss {
-                        self.state.fill.push(res.complete_at);
-                    }
-                    res.complete_at
+                    let done = self
+                        .mem
+                        .miss_walk(
+                            self.core_id,
+                            first,
+                            kind == AccessKind::Store,
+                            admitted,
+                            &mut self.state.counters,
+                            victim,
+                        )
+                        .complete_at;
+                    self.fill_track(done);
+                    done
                 }
             }
         } else {
@@ -614,7 +622,7 @@ impl<'m> Cpu<'m> {
                 &mut self.state.counters,
             );
             if res.l1_miss {
-                self.state.fill.push(res.complete_at);
+                self.fill_track(res.complete_at);
             }
             res.complete_at
         };

@@ -16,31 +16,26 @@
 //!   advances by `k` times the per-super event delta, and the port windows
 //!   are reconstructed by replaying only the final window's worth of issue
 //!   slots (plus an exact simulation of the window-advance triggers).
-//! * **Memory patterns** (any mix of strided loads/stores and FP ops,
-//!   minus NT stores) keep per-instruction front-end/port timing but
-//!   collapse consecutive same-line L1 hits into one deferred
-//!   [`Cache::access_repeat`](crate::cache::Cache::access_repeat) update,
-//!   and replace the full `MemSystem::access` dispatch with a single L1
-//!   probe that decides hit/miss and carries the victim way to the fill.
+//! * **Patterns with memory ops** run per-instruction. Their timing
+//!   depends on cache, prefetcher and memory-controller state, which does
+//!   not shift by a fixed `Δ` per pass, so there is no closed form to
+//!   jump to; the per-access cost is kept low in
+//!   [`Cpu::load`]/[`Cpu::store`] themselves (one L1 probe decides hit or
+//!   miss, and every level's probe carries its victim to the fill).
 //!
 //! Everything falls back to the per-instruction path — the oracle — at run
-//! boundaries, on cache-line crossings, for divides (unpipelined port
-//! occupancy breaks the shift argument), on non-power-of-two issue widths
-//! (the front-end grid is no longer dyadic, so closed-form shifts are not
-//! bit-exact), and whenever a fault config is armed. The proptest oracle
-//! suite pins batch results (cycles, ready times, every PMU counter) to the
-//! per-instruction loop bit for bit.
+//! boundaries, for divides (unpipelined port occupancy breaks the shift
+//! argument), and on non-power-of-two issue widths (the front-end grid is
+//! no longer dyadic, so closed-form shifts are not bit-exact). Fault
+//! injection needs no fallback: it perturbs only the counter deltas and
+//! TSC at the end of each run, which the batched paths reproduce exactly.
+//! The proptest oracle suite pins batch results (cycles, ready times,
+//! every PMU counter) to the per-instruction loop bit for bit.
 
 use crate::isa::{FpOp, Precision, Reg, VecWidth};
-use crate::memsys::AccessKind;
 use crate::pmu::fp_event;
 
-use super::{
-    Cpu, PortSlots, CLASS_LOAD, CLASS_STORE, NCLASS, SLOT_WINDOW,
-};
-
-/// Sentinel line address that can never occur (see `memsys::NO_LINE`).
-const NO_LINE: u64 = u64::MAX;
+use super::{Cpu, PortSlots, NCLASS, SLOT_MASK, SLOT_WINDOW};
 
 /// One instruction of a homogeneous run pattern.
 ///
@@ -117,29 +112,11 @@ impl<'m> Cpu<'m> {
         if ops.is_empty() || iters == 0 {
             return;
         }
-        let mut mem_ops = 0usize;
-        let mut has_div = false;
-        let mut has_nt = false;
-        for op in ops {
-            match op {
-                PatOp::Fp { op, .. } => has_div |= *op == FpOp::Div,
-                PatOp::Load { .. } | PatOp::Store { .. } => mem_ops += 1,
-                PatOp::StoreNt { .. } => {
-                    mem_ops += 1;
-                    has_nt = true;
-                }
-            }
-        }
-        if !self.batch {
-            self.run_slow(ops, width, prec, 0, iters);
-        } else if mem_ops == 0 {
-            if has_div {
-                self.run_slow(ops, width, prec, 0, iters);
-            } else {
-                self.run_fp(ops, width, prec, iters);
-            }
-        } else if !has_nt {
-            self.run_mem_fused(ops, width, prec, iters);
+        let fp_only = ops
+            .iter()
+            .all(|op| matches!(op, PatOp::Fp { op, .. } if *op != FpOp::Div));
+        if fp_only {
+            self.run_fp(ops, width, prec, iters);
         } else {
             self.run_slow(ops, width, prec, 0, iters);
         }
@@ -152,6 +129,7 @@ impl<'m> Cpu<'m> {
     /// # Panics
     ///
     /// Panics if `dsts` is empty.
+    #[allow(clippy::too_many_arguments)]
     pub fn fp_run(
         &mut self,
         op: FpOp,
@@ -239,153 +217,6 @@ impl<'m> Cpu<'m> {
                 self.exec_pat_op(op, width, prec, j);
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Single-stream memory patterns
-    // ------------------------------------------------------------------
-
-    /// Fused loop for patterns without NT stores: per-op front-end/port
-    /// timing, with consecutive same-line L1 hits deferred into one
-    /// `access_repeat` and the hit/miss decision folded into a single L1
-    /// probe (`l1_try_hit`) instead of a residency check plus a second
-    /// lookup. All cache-touching ops of the run flow through `fused_mem`
-    /// in program order, and a deferred run is settled the moment any
-    /// other line is touched, so deferral only ever coalesces consecutive
-    /// program-order accesses to one resident line — the exact
-    /// recency/stats sequence of the per-instruction loop is preserved
-    /// (`dirty |= write` accumulates across a mixed load/store run).
-    fn run_mem_fused(&mut self, ops: &[PatOp], width: VecWidth, prec: Precision, iters: u64) {
-        let bytes = width.bytes(prec);
-        let mut pend_line = NO_LINE;
-        let mut pend_write = false;
-        let mut pend_n: u64 = 0;
-        for j in 0..iters {
-            for op in ops {
-                match *op {
-                    PatOp::Fp { .. } => self.exec_pat_op(op, width, prec, j),
-                    PatOp::Load { dst, base, stride } => self.fused_mem(
-                        AccessKind::Load,
-                        Some(dst),
-                        base + j * stride,
-                        bytes,
-                        &mut pend_line,
-                        &mut pend_write,
-                        &mut pend_n,
-                    ),
-                    PatOp::Store { src, base, stride } => {
-                        let _ready = self.state.reg_ready[src.index()];
-                        self.fused_mem(
-                            AccessKind::Store,
-                            None,
-                            base + j * stride,
-                            bytes,
-                            &mut pend_line,
-                            &mut pend_write,
-                            &mut pend_n,
-                        )
-                    }
-                    PatOp::StoreNt { .. } => unreachable!("NT excluded by run_pattern"),
-                }
-            }
-        }
-        if pend_n > 0 {
-            self.mem
-                .l1_hit_line_repeat(self.core_id, pend_line, pend_write, pend_n);
-        }
-    }
-
-    /// One access of the fused loop's single memory op.
-    #[allow(clippy::too_many_arguments)]
-    fn fused_mem(
-        &mut self,
-        kind: AccessKind,
-        dst: Option<Reg>,
-        addr: u64,
-        bytes: u64,
-        pend_line: &mut u64,
-        pend_write: &mut bool,
-        pend_n: &mut u64,
-    ) {
-        let first = self.mem.line_of(addr);
-        let last = self.mem.line_of(addr + bytes - 1);
-        let write = kind == AccessKind::Store;
-        let class = if kind == AccessKind::Load {
-            CLASS_LOAD
-        } else {
-            CLASS_STORE
-        };
-        if first == last && first == *pend_line {
-            // Same line as this op's previous access, which hit: the line
-            // is still resident and in the hint's MRU slot, so the slow
-            // path would take `access`'s fast path — one `Cache::access`
-            // plus a no-op hint touch. Defer the cache update, keep the
-            // timing identical.
-            let disp = self.dispatch();
-            let start_cc = self.state.class_ports_mut(class).issue(disp, 1.0);
-            let start_tsc = self.cc_to_tsc(start_cc);
-            let done_cc = self.tsc_to_cc(start_tsc + self.mem.l1_latency());
-            if let Some(dst) = dst {
-                self.state.reg_ready[dst.index()] = done_cc;
-            }
-            match kind {
-                AccessKind::Load => self.state.pending_loads += 1,
-                _ => self.state.pending_stores += 1,
-            }
-            // A store joining a deferred run of loads must still dirty the
-            // line at settle time (`dirty |= write` commutes across the
-            // run, so accumulating the flag is exact).
-            *pend_write |= write;
-            *pend_n += 1;
-            self.retire(done_cc);
-            return;
-        }
-        // Line changed (or the access crosses a line): settle the deferred
-        // hits first, preserving cache-op order.
-        if *pend_n > 0 {
-            self.mem
-                .l1_hit_line_repeat(self.core_id, *pend_line, *pend_write, *pend_n);
-        }
-        *pend_line = NO_LINE;
-        *pend_n = 0;
-        if first != last {
-            self.mem_exec(kind, dst, addr, bytes);
-            return;
-        }
-        let disp = self.dispatch();
-        let start_cc = self.state.class_ports_mut(class).issue(disp, 1.0);
-        let start_tsc = self.cc_to_tsc(start_cc);
-        let complete_at = match self.mem.l1_try_hit(self.core_id, first, write, start_tsc) {
-            Ok(done) => {
-                *pend_line = first;
-                *pend_write = write;
-                done
-            }
-            Err(victim) => {
-                let admitted = self.fill_admit(start_tsc);
-                let res = self.mem.l1_miss_line(
-                    self.core_id,
-                    first,
-                    kind,
-                    admitted,
-                    &mut self.state.counters,
-                    victim,
-                );
-                if res.l1_miss {
-                    self.state.fill.push(res.complete_at);
-                }
-                res.complete_at
-            }
-        };
-        let done_cc = self.tsc_to_cc(complete_at);
-        if let Some(dst) = dst {
-            self.state.reg_ready[dst.index()] = done_cc;
-        }
-        match kind {
-            AccessKind::Load => self.state.pending_loads += 1,
-            _ => self.state.pending_stores += 1,
-        }
-        self.retire(done_cc);
     }
 
     // ------------------------------------------------------------------
@@ -505,7 +336,8 @@ impl<'m> Cpu<'m> {
     ) -> Option<FpJump> {
         let iwf = self.cfg.issue_width as f64;
         let df = b.front - a.front;
-        if !(df > 0.0) || df.fract() != 0.0 {
+        // `fract` is NaN for NaN and infinite `df`, so both fail here.
+        if df <= 0.0 || df.fract() != 0.0 {
             return None;
         }
         let delta = df as u64;
@@ -521,10 +353,9 @@ impl<'m> Cpu<'m> {
             return None;
         }
         let mut shifting = [false; Reg::COUNT];
-        for i in 0..Reg::COUNT {
-            let (ra, rb) = (a.reg[i], b.reg[i]);
+        for ((shift, &ra), &rb) in shifting.iter_mut().zip(&a.reg).zip(&b.reg) {
             if rb == ra + df && dyadic(rb) {
-                shifting[i] = true;
+                *shift = true;
             } else if !(rb == ra && ra <= a.front) {
                 // A constant register must also never win a readiness max
                 // again: `ra <= front` keeps it dominated by dispatch.
@@ -634,7 +465,7 @@ impl<'m> Cpu<'m> {
                 };
                 for j in j0..=k {
                     let cyc = t + j * delta;
-                    let idx = (p.head + (cyc - p.base) as usize) % SLOT_WINDOW;
+                    let idx = (p.head + (cyc - p.base) as usize) & SLOT_MASK;
                     debug_assert!(p.used[idx] < p.ports, "over-subscribed slot in replay");
                     p.used[idx] += 1;
                 }
@@ -657,13 +488,13 @@ fn occupancy_shifted(pa: &PortSlots, pb: &PortSlots, delta: u64, lo: u64) -> boo
     let base = pa.base;
     let top = base + w;
     for y in lo.max(base)..top {
-        let ua = pa.used[(pa.head + (y - base) as usize) % SLOT_WINDOW];
+        let ua = pa.used[(pa.head + (y - base) as usize) & SLOT_MASK];
         let yb = y + delta;
         if yb >= top {
             if ua != 0 {
                 return false;
             }
-        } else if ua != pb.used[(pb.head + (yb - base) as usize) % SLOT_WINDOW] {
+        } else if ua != pb.used[(pb.head + (yb - base) as usize) & SLOT_MASK] {
             return false;
         }
     }

@@ -284,7 +284,6 @@ impl Machine {
         let snap = self.fault_snapshot(&[core]);
         let ghz = self.cfg.core_ghz(1, self.turbo);
         let tsc_per_cc = self.cfg.nominal_ghz / ghz;
-        let batch = self.injector.is_none();
         let state = &mut self.cores[core];
         state.reset_timing();
         let mut cpu = Cpu {
@@ -295,7 +294,6 @@ impl Machine {
             tsc_base: self.tsc,
             tsc_per_cc,
             fill_cap: self.cfg.fill_buffers,
-            batch,
         };
         f(&mut cpu);
         self.cores[core].flush_pending();
@@ -353,7 +351,6 @@ impl Machine {
                 tsc_base: self.tsc,
                 tsc_per_cc,
                 fill_cap: self.cfg.fill_buffers,
-                batch: self.injector.is_none(),
             };
             programs[i].run_slice(&mut cpu, slice);
         }

@@ -94,14 +94,6 @@ impl Imc {
 /// bit 40 (the machine allocator places node `n`'s heap at `n << 40`).
 const NODE_LINE_SHIFT: u32 = 40 - 6;
 
-/// Sentinel for "no line" in the per-core L1 residency hint. Real line
-/// addresses top out around bit 40 and can never equal this.
-const NO_LINE: u64 = u64::MAX;
-
-/// Hint slots allocated per core (the live count is capped by the L1's
-/// associativity — see the soundness note on `MemSystem::l1_hint`).
-const HINT_STRIDE: usize = 4;
-
 /// The complete memory hierarchy of a machine: per-core L1/L2, one L3 and
 /// one memory controller **per socket**, and the NUMA home-node routing
 /// between them.
@@ -123,28 +115,6 @@ pub struct MemSystem {
     l3_lat: f64,
     /// Per-core open write-combining line (for NT stores).
     wc_open_line: Vec<Option<u64>>,
-    /// Per-core L1 residency hints: the `hint_ways` most recently demand-
-    /// accessed lines, MRU-first, in `HINT_STRIDE`-sized chunks (unused
-    /// tail slots stay `NO_LINE`). A line in this list is provably still
-    /// resident in the core's private L1, so single-line accesses to it
-    /// take a short fast path instead of the full hierarchy walk — the
-    /// common case when a kernel walks a handful of operand streams in
-    /// 8- or 32-byte steps (dgemm rows, FFT butterfly pairs).
-    ///
-    /// Soundness: evicting a line from a `ways`-associative L1 set
-    /// requires `ways` distinct lines of that set to be demand-touched
-    /// after it (the incoming fill plus every other resident way carrying
-    /// a more recent touch; prefetches never fill L1). Every demand touch
-    /// promotes its line to the hint's MRU slot — or, for wide accesses
-    /// that insert only their trailing lines, fully replaces the list —
-    /// so a line still present among the `hint_ways <= ways` entries has
-    /// seen fewer than `ways` such touches and cannot have been evicted.
-    /// NT stores invalidate the issuing core's own L1 lines (clearing its
-    /// hints), `flush_all` clears everything, and no other event touches
-    /// a foreign core's L1.
-    l1_hint: Vec<u64>,
-    /// Live entries per core in `l1_hint`: `min(HINT_STRIDE, l1.ways)`.
-    hint_ways: usize,
     /// Scratch buffer for prefetcher output, reused across misses.
     pf_buf: Vec<u64>,
     /// Inter-level transfer counters (see [`HierTraffic`]).
@@ -179,8 +149,6 @@ impl MemSystem {
             l2_lat: cfg.l2.latency,
             l3_lat: cfg.l3.latency,
             wc_open_line: vec![None; cfg.cores],
-            l1_hint: vec![NO_LINE; cfg.cores * HINT_STRIDE],
-            hint_ways: HINT_STRIDE.min(cfg.l1.ways as usize),
             pf_buf: Vec::new(),
             traffic: HierTraffic::default(),
         }
@@ -188,7 +156,11 @@ impl MemSystem {
 
     /// The socket a core belongs to.
     fn socket_of(&self, core: usize) -> usize {
-        core / self.cores_per_socket
+        if self.l3.len() == 1 {
+            0
+        } else {
+            core / self.cores_per_socket
+        }
     }
 
     /// The NUMA node a line is homed on (clamped: addresses outside any
@@ -225,9 +197,7 @@ impl MemSystem {
     /// Whether `addr`'s line currently resides in `core`'s L1 (no state
     /// change; used by the core to decide fill-buffer admission).
     pub fn l1_contains(&self, core: usize, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let base = core * HINT_STRIDE;
-        self.l1_hint[base..base + HINT_STRIDE].contains(&line) || self.l1[core].contains(line)
+        self.l1[core].contains(self.line_of(addr))
     }
 
     /// Machine-wide uncore counter bank (sum over all sockets' IMCs).
@@ -323,7 +293,6 @@ impl MemSystem {
             t = t.max(self.dram_write(home, line, t));
         }
         self.wc_open_line.iter_mut().for_each(|w| *w = None);
-        self.l1_hint.iter_mut().for_each(|h| *h = NO_LINE);
         t
     }
 
@@ -341,26 +310,6 @@ impl MemSystem {
         debug_assert!(bytes > 0);
         let first = self.line_of(addr);
         let last = self.line_of(addr + bytes - 1);
-        // Streaming fast path: a single-line access to one of the lines
-        // this core touched most recently (the hint list proves it is
-        // still in its L1 — see the field's soundness note). `Cache::access`
-        // via the MRU way is one compare, and the hierarchy walk,
-        // prefetcher, and fill logic are all skipped — exactly what the
-        // slow path would have done on an L1 hit, with identical
-        // recency-order and stats evolution.
-        let base = core * HINT_STRIDE;
-        if first == last
-            && kind != AccessKind::StoreNt
-            && self.l1_hint[base..base + HINT_STRIDE].contains(&first)
-        {
-            let hit = self.l1[core].access(first, kind == AccessKind::Store);
-            debug_assert!(hit, "L1 hint pointed at a non-resident line");
-            self.hint_touch(core, first);
-            return AccessResult {
-                complete_at: now + self.l1_lat,
-                l1_miss: !hit,
-            };
-        }
         let mut result = AccessResult {
             complete_at: now,
             l1_miss: false,
@@ -370,39 +319,18 @@ impl MemSystem {
             result.complete_at = result.complete_at.max(r.complete_at);
             result.l1_miss |= r.l1_miss;
         }
-        if kind == AccessKind::StoreNt {
-            // NT stores invalidated their own L1 lines: every prior hint
-            // for this core is conservatively dropped.
-            self.l1_hint[base..base + HINT_STRIDE].fill(NO_LINE);
-        } else {
-            // The trailing lines of the access are resident in this
-            // core's L1 (hit or freshly filled). Inserting only the last
-            // `hint_ways` keeps wide accesses O(1); when an access spans
-            // more lines than that, the insertions replace the whole
-            // list, which is what the soundness argument requires.
-            let from = last.saturating_sub(self.hint_ways as u64 - 1).max(first);
-            for line in from..=last {
-                self.hint_touch(core, line);
-            }
-        }
         result
     }
 
-    /// L1 hit latency (TSC cycles), for the batched single-line fast path.
-    pub(crate) fn l1_latency(&self) -> f64 {
-        self.l1_lat
-    }
-
     /// Single-line demand access that probes the L1 exactly once. On a hit
-    /// the state change equals [`Self::access`]'s for a resident line
-    /// (`Cache::access` + `hint_touch`, whichever path `access` would have
-    /// taken) and the completion time is returned. On a miss the L1 has
+    /// the state change equals [`Self::access`]'s for a resident line and
+    /// the completion time is returned. On a miss the L1 has
     /// already recorded it (the miss counter, exactly `access_line`'s
     /// first step — `Cache::access` reads no clock, so performing it
     /// before the caller's fill-buffer admission stall is unobservable)
-    /// and the caller must finish the access with [`Self::l1_miss_line`].
+    /// and the caller must finish the access with [`Self::miss_walk`].
     /// On a miss, `Err` carries the L1 victim slot the probe identified
-    /// (see `Cache::access_or_victim`), which [`Self::l1_miss_line`]
+    /// (see `Cache::access_or_victim`), which [`Self::miss_walk`]
     /// redeems — the caller must not touch this core's L1 in between.
     pub(crate) fn l1_try_hit(
         &mut self,
@@ -411,58 +339,9 @@ impl MemSystem {
         write: bool,
         now: f64,
     ) -> Result<f64, usize> {
-        match self.l1[core].access_or_victim(line, write) {
-            Ok(()) => {
-                self.hint_touch(core, line);
-                Ok(now + self.l1_lat)
-            }
-            Err(victim) => Err(victim),
-        }
-    }
-
-    /// `n` further same-line hits after an initial [`Self::l1_hit_line`].
-    /// The first hit left `line` in the hint's MRU slot, so the per-access
-    /// `hint_touch` calls would all be no-ops; only the L1's own
-    /// recency and stats update remains, folded by `Cache::access_repeat`.
-    pub(crate) fn l1_hit_line_repeat(&mut self, core: usize, line: u64, write: bool, n: u64) {
-        debug_assert_eq!(self.l1_hint[core * HINT_STRIDE], line);
-        self.l1[core].access_repeat(line, write, n);
-    }
-
-    /// Completes a single-line demand access whose L1 probe
-    /// ([`Self::l1_try_hit`]) missed: the below-L1 hierarchy walk of
-    /// `access_line`, then the hint-list update [`Self::access`] performs.
-    /// `kind` must be `Load` or `Store` (NT stores never take this path).
-    pub(crate) fn l1_miss_line(
-        &mut self,
-        core: usize,
-        line: u64,
-        kind: AccessKind,
-        now: f64,
-        counters: &mut CoreCounters,
-        l1_victim: usize,
-    ) -> AccessResult {
-        debug_assert!(kind != AccessKind::StoreNt);
-        let res = self.miss_walk(core, line, kind == AccessKind::Store, now, counters, l1_victim);
-        self.hint_touch(core, line);
-        res
-    }
-
-    /// Promotes `line` to the MRU slot of `core`'s L1 hint list,
-    /// inserting it (and dropping the LRU entry) if absent.
-    #[inline]
-    fn hint_touch(&mut self, core: usize, line: u64) {
-        let base = core * HINT_STRIDE;
-        let chunk = &mut self.l1_hint[base..base + HINT_STRIDE];
-        if chunk[0] == line {
-            return;
-        }
-        let pos = chunk[..self.hint_ways]
-            .iter()
-            .position(|&h| h == line)
-            .unwrap_or(self.hint_ways - 1);
-        chunk[..=pos].rotate_right(1);
-        chunk[0] = line;
+        self.l1[core]
+            .access_or_victim(line, write)
+            .map(|()| now + self.l1_lat)
     }
 
     fn access_line(
@@ -491,8 +370,9 @@ impl MemSystem {
     /// The below-L1 part of a demand access: prefetcher training, L2, L3,
     /// DRAM, and the resulting fills. The L1 probe (a recorded miss) has
     /// already happened and identified `l1_victim`; nothing below touches
-    /// this core's L1 until the final fill redeems it.
-    fn miss_walk(
+    /// this core's L1 until the final fill redeems it. The L2 and L3
+    /// probes likewise carry their victims to their fills.
+    pub(crate) fn miss_walk(
         &mut self,
         core: usize,
         line: u64,
@@ -512,36 +392,50 @@ impl MemSystem {
         self.pf_buf = pf_lines;
 
         // L2.
-        if self.l2[core].access(line, false) {
-            self.fill_l1(core, line, write, now, l1_victim);
-            return AccessResult {
-                complete_at: now + self.l2_lat,
-                l1_miss: true,
-            };
-        }
+        let mut l2_victim = match self.l2[core].access_or_victim(line, false) {
+            Ok(()) => {
+                self.fill_l1(core, line, write, now, l1_victim);
+                return AccessResult {
+                    complete_at: now + self.l2_lat,
+                    l1_miss: true,
+                };
+            }
+            Err(victim) => victim,
+        };
 
         if self.adjacent_enabled {
             let buddy = line ^ 1;
             self.prefetch_line(core, buddy, now);
+            // The buddy shares `line`'s L2 set only in a single-set L2;
+            // there its fill may have moved the carried victim.
+            let l2 = &self.l2[core];
+            if l2.set_of(buddy) == l2.set_of(line) {
+                l2_victim = l2
+                    .victim_if_absent(line)
+                    .expect("line still absent from L2");
+            }
         }
 
         // L3 (the core's socket-local LLC).
         let socket = self.socket_of(core);
-        if self.l3[socket].access(line, false) {
-            self.fill_l2(core, line, now);
-            self.fill_l1(core, line, write, now, l1_victim);
-            return AccessResult {
-                complete_at: now + self.l3_lat,
-                l1_miss: true,
-            };
-        }
+        let l3_victim = match self.l3[socket].access_or_victim(line, false) {
+            Ok(()) => {
+                self.fill_l2(core, line, now, l2_victim);
+                self.fill_l1(core, line, write, now, l1_victim);
+                return AccessResult {
+                    complete_at: now + self.l3_lat,
+                    l1_miss: true,
+                };
+            }
+            Err(victim) => victim,
+        };
 
         // DRAM: demand miss, visible to both the core LLC-miss event and
         // the IMC counters; routed to the line's home node.
         counters.add(CoreEvent::LlcMiss, 1);
         let data_at = self.dram_read(socket, line, now + self.l3_lat);
-        self.fill_l3(socket, line, now);
-        self.fill_l2(core, line, now);
+        self.fill_l3(socket, line, now, l3_victim);
+        self.fill_l2(core, line, now, l2_victim);
         self.fill_l1(core, line, write, now, l1_victim);
         AccessResult {
             complete_at: data_at,
@@ -580,17 +474,20 @@ impl MemSystem {
     /// usable from L2 immediately, while the IMC slot it consumed delays
     /// later demand misses — which is the first-order effect of interest.
     fn prefetch_line(&mut self, core: usize, line: u64, now: f64) {
-        let socket = self.socket_of(core);
-        if self.l2[core].contains(line) {
-            return;
-        }
-        // Probe and (if absent) install in L3 with one set walk. The DRAM
-        // read is charged after the install decision instead of before it;
-        // the IMC timeline and counters are commutative within this call,
-        // so the final state matches the probe-then-read-then-fill order.
-        let Some(wb) = self.l3[socket].fill_if_absent(line, false, true) else {
+        // Each level is probed once; the probe's victim is redeemed by the
+        // fill, and nothing in between touches that level. The DRAM read
+        // is charged after the L3 install instead of before it; the IMC
+        // timeline and counters are commutative within this call, so the
+        // final state matches the probe-then-read-then-fill order.
+        let Some(l2_victim) = self.l2[core].victim_if_absent(line) else {
             return;
         };
+        let socket = self.socket_of(core);
+        let l3 = &mut self.l3[socket];
+        let Some(l3_victim) = l3.victim_if_absent(line) else {
+            return;
+        };
+        let wb = l3.fill_at(l3_victim, line, false, true);
         self.traffic.l3_prefetch_fills += 1;
         let _ = self.dram_read(socket, line, now);
         if let Some(wb) = wb {
@@ -598,7 +495,7 @@ impl MemSystem {
             let _ = self.dram_write(socket, wb.line, now);
         }
         self.traffic.l2_prefetch_fills += 1;
-        if let Some(wb) = self.l2[core].fill_absent(line, false, true) {
+        if let Some(wb) = self.l2[core].fill_at(l2_victim, line, false, true) {
             self.fill_l3_writeback(socket, wb.line, now);
         }
     }
@@ -615,17 +512,17 @@ impl MemSystem {
         }
     }
 
-    fn fill_l2(&mut self, core: usize, line: u64, now: f64) {
+    fn fill_l2(&mut self, core: usize, line: u64, now: f64, victim: usize) {
         let socket = self.socket_of(core);
         self.traffic.l2_demand_fills += 1;
-        if let Some(wb) = self.l2[core].fill_absent(line, false, false) {
+        if let Some(wb) = self.l2[core].fill_at(victim, line, false, false) {
             self.fill_l3_writeback(socket, wb.line, now);
         }
     }
 
-    fn fill_l3(&mut self, socket: usize, line: u64, now: f64) {
+    fn fill_l3(&mut self, socket: usize, line: u64, now: f64, victim: usize) {
         self.traffic.l3_demand_fills += 1;
-        if let Some(wb) = self.l3[socket].fill_absent(line, false, false) {
+        if let Some(wb) = self.l3[socket].fill_at(victim, line, false, false) {
             self.traffic.l3_writebacks += 1;
             let _ = self.dram_write(socket, wb.line, now);
         }
@@ -778,6 +675,23 @@ mod tests {
         assert!(r.complete_at <= 500.0 + 12.0 + 1e-9);
         assert_eq!(c.get(CoreEvent::LlcMiss), 1);
         assert_eq!(m.uncore().get(crate::pmu::UncoreEvent::ImcDramDataReads), 2);
+    }
+
+    #[test]
+    fn adjacent_prefetch_into_a_single_set_l2_keeps_both_lines() {
+        // A one-set L2: the buddy prefetch lands in the demand line's set
+        // between its L2 probe and its L2 fill, so the victim the probe
+        // chose (the empty way 0) is taken by then.
+        let mut cfg = test_machine();
+        cfg.l2.size_bytes = 2 * 64;
+        cfg.l2.ways = 2;
+        let mut m = MemSystem::new(&cfg);
+        let mut c = CoreCounters::default();
+        m.set_prefetch(false, true);
+        m.access(0, 0x50000, 8, AccessKind::Load, 0.0, &mut c);
+        let line = m.line_of(0x50000);
+        assert!(m.l2[0].contains(line) && m.l2[0].contains(line ^ 1));
+        assert_eq!(m.l2[0].resident_lines(), 2);
     }
 
     #[test]

@@ -311,8 +311,8 @@ proptest! {
 
     /// Read-modify-write streams: a load and a store of the *same* strided
     /// region in one pattern (dscal/daxpy shape). Consecutive accesses land
-    /// on the same line, so the fused loop's deferred-hit run mixes reads
-    /// and writes and must still dirty the line exactly like the oracle.
+    /// on the same line and mix reads and writes, which must dirty the
+    /// line exactly like the oracle.
     #[test]
     fn rmw_stream_matches_oracle(
         cfg in cfg_strategy(),

@@ -16,8 +16,8 @@ the simulator bench and the fleet bench together:
   deliberately tolerant of runner-to-runner variance, that still
   catches order-of-magnitude slowdowns in the simulator's hot paths.
   Two microbenchmark lines are gated the same way: `fp_ports` (the
-  batched FP steady-state jump) and `dram_stream` (the fused
-  memory-stream path). The remaining microbenchmark rates are reported
+  batched FP steady-state jump) and `dram_stream` (the per-access
+  memory path). The remaining microbenchmark rates are reported
   for attribution only: they are noisier than the end-to-end sweep.
 
 * `BENCH_roofd` — the fleet load-generator report. Fleets are matched
