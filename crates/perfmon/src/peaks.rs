@@ -9,7 +9,8 @@
 //! by construction.
 
 use roofline_core::units::{GBytesPerSec, GFlopsPerSec};
-use simx86::isa::{Precision, Reg, VecWidth};
+use simx86::isa::{FpOp, Precision, Reg, VecWidth};
+use simx86::cpu::PatOp;
 use simx86::{Buffer, Cpu, Machine, SlicedFn, ThreadProgram};
 
 /// The instruction mix of a compute-peak stream.
@@ -46,7 +47,8 @@ impl Mix {
 /// constant registers `ymm14`/`ymm15`). Twelve accumulators cover the
 /// deepest loop-carried dependency the mixes create — FMA reads its
 /// destination, so saturating two 5-cycle FMA ports needs at least ten
-/// independent accumulators.
+/// independent accumulators. The rounds run as one
+/// [`Cpu::run_pattern`], which jumps the steady state in closed form.
 ///
 /// # Panics
 ///
@@ -58,25 +60,21 @@ pub fn emit_peak_stream(
     mix: Mix,
     iters: u64,
 ) {
-    let s1 = Reg::new(14);
-    let s2 = Reg::new(15);
-    for _ in 0..iters {
-        for d in 0..12u8 {
-            let dst = Reg::new(d);
-            match mix {
-                Mix::AddOnly => cpu.fadd(dst, s1, s2, width, prec),
-                Mix::MulOnly => cpu.fmul(dst, s1, s2, width, prec),
-                Mix::Balanced => {
-                    if d % 2 == 0 {
-                        cpu.fadd(dst, s1, s2, width, prec)
-                    } else {
-                        cpu.fmul(dst, s1, s2, width, prec)
-                    }
-                }
-                Mix::Fma => cpu.fma(dst, s1, s2, width, prec),
-            }
-        }
-    }
+    let ops: Vec<PatOp> = (0..12u8)
+        .map(|d| PatOp::Fp {
+            op: match mix {
+                Mix::AddOnly => FpOp::Add,
+                Mix::MulOnly => FpOp::Mul,
+                Mix::Balanced if d % 2 == 0 => FpOp::Add,
+                Mix::Balanced => FpOp::Mul,
+                Mix::Fma => FpOp::Fma,
+            },
+            dst: Reg::new(d),
+            a: Reg::new(14),
+            b: Reg::new(15),
+        })
+        .collect();
+    cpu.run_pattern(&ops, width, prec, iters);
 }
 
 /// Measures peak compute throughput for a width/mix on `threads` cores.

@@ -46,7 +46,7 @@
 
 use experiments::platforms::{platform_names, try_config_by_name, Fidelity};
 use experiments::registry::{registry_table, Experiment};
-use roofline_service::client::{run_with_retries_opt, Client, RetryPolicy, RunOpts};
+use roofline_service::client::{run_with_retries, Client, RetryPolicy, RunOpts};
 use roofline_service::DEFAULT_ADDR;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -341,7 +341,7 @@ fn run(args: Args) -> Result<ExitCode, String> {
                 fleet_token: None,
                 token: args.token.clone(),
             };
-            let reply = run_with_retries_opt(args.addr.as_str(), &opts, &policy, args.timeout)
+            let reply = run_with_retries(args.addr.as_str(), &opts, &policy, args.timeout, None)
                 .map_err(|e| e.to_string())?;
             let mut summary = format!(
                 "{} status={} cache={} source={} elapsed_ms={} budget_ms={}",

@@ -181,59 +181,26 @@ impl RunOpts {
     }
 }
 
-/// Runs one request with retries: each attempt opens a fresh connection
-/// (a mid-request disconnect leaves the old one useless), and retryable
-/// failures back off per `policy`. `io_timeout` bounds each attempt's
-/// connect/read/write; pass `None` to block indefinitely.
+/// Runs one request with retries — the one retry entry point. Each
+/// attempt opens a fresh connection (a mid-request disconnect leaves the
+/// old one useless) and authenticates anew when `opts.token` is set;
+/// retryable failures back off per `policy`. `io_timeout` bounds each
+/// attempt's connect/read/write; `None` blocks indefinitely.
+///
+/// `deadline`, when set, bounds the whole call: no attempt starts (and
+/// no backoff sleeps) past it, and each attempt's I/O timeout is clamped
+/// to the time remaining. The fleet's cache-peer fetch runs on this — a
+/// fetch holds a worker slot, so it must cost at most the requesting
+/// client's own deadline before the local-compute fallback, however
+/// dead the owning node is.
 ///
 /// # Errors
 ///
 /// The last attempt's error, once `policy.attempts` are exhausted or a
-/// non-retryable error (bad request, protocol violation) occurs.
+/// non-retryable error (bad request, protocol violation) occurs; an
+/// already-expired deadline fails with a retryable `TimedOut` I/O error
+/// without touching the network.
 pub fn run_with_retries(
-    addr: impl ToSocketAddrs,
-    experiment: Experiment,
-    platform: &str,
-    fidelity: Fidelity,
-    policy: &RetryPolicy,
-    io_timeout: Option<Duration>,
-) -> Result<RunReply, ClientError> {
-    run_with_retries_opt(
-        addr,
-        &RunOpts::new(experiment, platform, fidelity),
-        policy,
-        io_timeout,
-    )
-}
-
-/// [`run_with_retries`] with the full request options (peer flag, bearer
-/// token). Each attempt authenticates anew on its fresh connection.
-///
-/// # Errors
-///
-/// The last attempt's error, once `policy.attempts` are exhausted or a
-/// non-retryable error (bad request, protocol violation) occurs.
-pub fn run_with_retries_opt(
-    addr: impl ToSocketAddrs,
-    opts: &RunOpts,
-    policy: &RetryPolicy,
-    io_timeout: Option<Duration>,
-) -> Result<RunReply, ClientError> {
-    run_with_retries_until(addr, opts, policy, io_timeout, None)
-}
-
-/// [`run_with_retries_opt`] bounded by an overall wall-clock deadline:
-/// no attempt starts (and no backoff sleeps) past `deadline`, and each
-/// attempt's I/O timeout is clamped to the time remaining. This is what
-/// the fleet's cache-peer fetch runs on — a fetch holds a worker slot,
-/// so it must cost at most the requesting client's own deadline before
-/// the local-compute fallback, however dead the owning node is.
-///
-/// # Errors
-///
-/// The last attempt's error; an already-expired deadline fails with a
-/// retryable `TimedOut` I/O error without touching the network.
-pub fn run_with_retries_until(
     addr: impl ToSocketAddrs,
     opts: &RunOpts,
     policy: &RetryPolicy,
@@ -392,10 +359,13 @@ impl Client {
     fn round_trip(&mut self, env: Envelope) -> Result<Envelope, ClientError> {
         let seq = format!("c{}", self.next_seq);
         self.next_seq += 1;
-        let line = env.seq(&seq).to_line();
+        // One write for the whole line: a server that shed this
+        // connection at accept has already closed it, and its reset to a
+        // first write would fail a second one before the `busy` it sent
+        // could be read.
+        let mut line = env.seq(&seq).to_line();
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
         let mut reply = String::new();
         if self.reader.read_line(&mut reply)? == 0 {
             // EOF mid-request: the server (or a chaos fault) dropped the
@@ -492,7 +462,7 @@ impl Client {
     /// [`Client::run`] with the full request options. The `token` field
     /// is ignored here — authenticate the connection once with
     /// [`Client::auth`] instead (the per-attempt helper
-    /// [`run_with_retries_opt`] does both).
+    /// [`run_with_retries`] does both).
     ///
     /// # Errors
     ///
@@ -831,7 +801,7 @@ mod tests {
         // Port 0 is unconnectable, but the expired deadline must win
         // before a single connect (or backoff sleep) happens.
         let started = Instant::now();
-        let err = run_with_retries_until(
+        let err = run_with_retries(
             "127.0.0.1:0",
             &RunOpts::new(Experiment::E1, "snb", Fidelity::Quick),
             &RetryPolicy::default(),

@@ -64,7 +64,7 @@
 //!   request would have timed out anyway.
 
 use crate::cache::{status_from_str, CachedResult};
-use crate::client::{run_with_retries_until, Client, ClientError, RetryPolicy, RunOpts};
+use crate::client::{run_with_retries, Client, ClientError, RetryPolicy, RunOpts};
 use crate::engine::Request;
 use crate::sync::lock;
 use roofline_core::json::{Envelope, Json};
@@ -456,7 +456,7 @@ impl Fleet {
         req: &Request,
         deadline: Instant,
     ) -> Result<CachedResult, ClientError> {
-        let reply = run_with_retries_until(
+        let reply = run_with_retries(
             from,
             &RunOpts {
                 experiment: req.experiment,
@@ -562,14 +562,16 @@ impl HealthProber {
                         }
                     }
                 }
-                // Sleep in short slices so drop() never blocks a full
-                // probe interval.
+                // Parked until the next probe is due; `halt` unparks the
+                // thread so stopping never waits out the interval. The
+                // loop absorbs spurious wake-ups.
                 let wake = Instant::now() + fleet.config().probe_interval;
-                while Instant::now() < wake {
-                    if flag.load(Ordering::Relaxed) {
-                        return;
+                loop {
+                    let left = wake.saturating_duration_since(Instant::now());
+                    if flag.load(Ordering::Relaxed) || left.is_zero() {
+                        break;
                     }
-                    std::thread::sleep(Duration::from_millis(25));
+                    std::thread::park_timeout(left);
                 }
             }
         });
@@ -599,6 +601,7 @@ impl HealthProber {
     fn halt(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(thread) = self.thread.take() {
+            thread.thread().unpark();
             let _ = thread.join();
         }
     }

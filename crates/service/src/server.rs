@@ -28,9 +28,12 @@
 //!   line rate over one socket;
 //! * **graceful shutdown** — the `shutdown` protocol command (or
 //!   [`ShutdownHandle::trigger`]) stops the accept loop, lets every
-//!   in-flight request finish, and joins the workers. (The server is
-//!   std-only and installs no signal handler: a SIGTERM is an abrupt
-//!   stop; use `roofctl shutdown` for a clean one.)
+//!   in-flight request finish, and joins the workers. The accept loop
+//!   blocks in `accept`, so a fresh connection is served the moment it
+//!   arrives; shutdown sets a flag and then wakes that `accept` with one
+//!   connection of its own to the listener, which the loop drops. (The
+//!   server is std-only and installs no signal handler: a SIGTERM is an
+//!   abrupt stop; use `roofctl shutdown` for a clean one.)
 
 use crate::engine::Engine;
 use crate::faults::{FaultLottery, ServiceFaults};
@@ -38,7 +41,7 @@ use crate::fleet::HealthProber;
 use crate::protocol::{dispatch_session, error_code, error_envelope, Session};
 use roofline_core::json::{Envelope, Json};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -77,25 +80,36 @@ impl Default for ServerConfig {
 }
 
 /// How often a blocked read wakes to re-check the idle deadline and the
-/// shutdown flag. Short enough that shutdown and accept-loop latency are
-/// sub-second; long enough to stay out of the way.
+/// shutdown flag. It bounds only how long shutdown waits for idle
+/// connections to drain; no request waits on it.
 const POLL_QUANTUM: Duration = Duration::from_millis(100);
 
 /// A handle that asks a running [`Server::serve`] loop to shut down
 /// gracefully: stop accepting, drain in-flight requests, join workers.
 #[derive(Clone)]
-pub struct ShutdownHandle(Arc<AtomicBool>);
+pub struct ShutdownHandle {
+    flag: Arc<AtomicBool>,
+    /// Where the wake-up connection goes: the listener's own address,
+    /// loopback in place of an unspecified IP.
+    wake: Option<SocketAddr>,
+}
 
 impl ShutdownHandle {
-    /// Requests shutdown; idempotent.
+    /// Requests shutdown; idempotent. Sets the flag, then opens one
+    /// connection to the listener so a loop blocked in `accept` wakes,
+    /// sees the flag and exits.
     pub fn trigger(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.flag.store(true, Ordering::SeqCst);
+        if let Some(addr) = self.wake {
+            // Refused once the loop has already exited; nothing to wake.
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
     }
 
     /// True once shutdown has been requested (by this handle or by a
     /// `shutdown` protocol command).
     pub fn is_triggered(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.flag.load(Ordering::SeqCst)
     }
 }
 
@@ -106,7 +120,7 @@ pub struct Server {
     listener: TcpListener,
     engine: Engine,
     cfg: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
     lottery: Arc<FaultLottery>,
 }
 
@@ -139,11 +153,23 @@ impl Server {
     /// peer list names addresses the engines are configured with).
     pub fn from_listener(listener: TcpListener, engine: Engine, cfg: ServerConfig) -> Server {
         let lottery = Arc::new(cfg.faults.lottery());
+        let wake = listener.local_addr().ok().map(|mut addr| {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            addr
+        });
         Server {
             listener,
             engine,
             cfg,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: ShutdownHandle {
+                flag: Arc::new(AtomicBool::new(false)),
+                wake,
+            },
             lottery,
         }
     }
@@ -160,31 +186,33 @@ impl Server {
     /// A handle that can stop this server's [`Server::serve`] loop from
     /// another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle(Arc::clone(&self.shutdown))
+        self.shutdown.clone()
     }
 
     /// Serves until shutdown: accepts connections (shedding beyond the
     /// concurrency cap), spawns one serving thread each, and on shutdown
     /// stops accepting, drains in-flight requests, and joins every
-    /// worker. Accept errors are transient (a client can abort between
+    /// worker. `accept` blocks, so a new connection is taken as soon as
+    /// it arrives; [`ShutdownHandle::trigger`] wakes it with a
+    /// connection of its own, which the loop drops once it sees the
+    /// flag. Accept errors are transient (a client can abort between
     /// `accept` starting and finishing) and are logged, not fatal.
     ///
     /// # Errors
     ///
-    /// Propagates only listener-setup failures; per-connection errors
-    /// are contained to their connection.
+    /// Per-connection errors are contained to their connection; this
+    /// returns `Ok` once every worker is joined.
     pub fn serve(self) -> io::Result<()> {
-        // Non-blocking accept so the loop can observe the shutdown flag
-        // without a wedging `accept()` call in the way.
-        self.listener.set_nonblocking(true)?;
         // Fleet nodes probe their peers for as long as they serve; the
         // prober stops (via Drop) when the accept loop exits.
         let _prober = self.engine.fleet().map(HealthProber::spawn);
         let active = Arc::new(AtomicUsize::new(0));
         let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
-        while !self.shutdown.load(Ordering::SeqCst) {
+        while !self.shutdown.is_triggered() {
             workers.retain(|w| !w.is_finished());
             match self.listener.accept() {
+                // The wake-up connection, or a client racing shutdown.
+                Ok(_) if self.shutdown.is_triggered() => break,
                 Ok((stream, _peer)) => {
                     if active.load(Ordering::SeqCst) >= self.cfg.max_connections.max(1) {
                         self.engine.note_shed();
@@ -194,7 +222,7 @@ impl Server {
                     active.fetch_add(1, Ordering::SeqCst);
                     let engine = self.engine.clone();
                     let cfg = self.cfg.clone();
-                    let shutdown = Arc::clone(&self.shutdown);
+                    let shutdown = self.shutdown.clone();
                     let lottery = Arc::clone(&self.lottery);
                     let active = Arc::clone(&active);
                     workers.push(thread::spawn(move || {
@@ -206,9 +234,6 @@ impl Server {
                         }
                         active.fetch_sub(1, Ordering::SeqCst);
                     }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(25));
                 }
                 Err(e) => eprintln!("roofd: accept failed: {e}"),
             }
@@ -237,7 +262,7 @@ impl Server {
             let (stream, _peer) = self.listener.accept()?;
             let engine = self.engine.clone();
             let cfg = self.cfg.clone();
-            let shutdown = Arc::clone(&self.shutdown);
+            let shutdown = self.shutdown.clone();
             let lottery = Arc::clone(&self.lottery);
             workers.push(thread::spawn(move || {
                 serve_connection(stream, &engine, &cfg, &shutdown, &lottery)
@@ -270,12 +295,9 @@ fn serve_connection(
     stream: TcpStream,
     engine: &Engine,
     cfg: &ServerConfig,
-    shutdown: &AtomicBool,
+    shutdown: &ShutdownHandle,
     lottery: &FaultLottery,
 ) -> io::Result<()> {
-    // On some platforms an accepted socket inherits the listener's
-    // non-blocking flag; reads below rely on blocking-with-timeout.
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(POLL_QUANTUM.min(cfg.read_timeout)))?;
     stream.set_write_timeout(Some(cfg.write_timeout))?;
     // Response lines are tiny and latency-bound; without this, Nagle +
@@ -308,7 +330,7 @@ fn serve_connection(
             writer.write_all(b"\n")?;
             writer.flush()?;
             if d.shutdown {
-                shutdown.store(true, Ordering::SeqCst);
+                shutdown.trigger();
                 return Ok(());
             }
             if d.close {
@@ -339,7 +361,7 @@ fn serve_connection(
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if shutdown.load(Ordering::SeqCst) || Instant::now() >= idle_deadline {
+                if shutdown.is_triggered() || Instant::now() >= idle_deadline {
                     return Ok(());
                 }
             }

@@ -17,7 +17,7 @@ use experiments::registry::Experiment;
 use experiments::snapshot::{diff_trees, read_tree};
 use experiments::sweep::run_one;
 use roofline_service::cache::QUARANTINE_DIR;
-use roofline_service::client::{run_with_retries, Client, ClientError, RetryPolicy};
+use roofline_service::client::{run_with_retries, Client, ClientError, RetryPolicy, RunOpts};
 use roofline_service::engine::{Engine, EngineConfig, Outcome, Request};
 use roofline_service::faults::ServiceFaults;
 use roofline_service::server::{Server, ServerConfig};
@@ -359,11 +359,10 @@ fn retrying_client_eventually_succeeds_against_transient_failures() {
     };
     let reply = run_with_retries(
         addr,
-        Experiment::E5,
-        "snb",
-        Fidelity::Quick,
+        &RunOpts::new(Experiment::E5, "snb", Fidelity::Quick),
         &policy,
         Some(Duration::from_secs(10)),
+        None,
     )
     .expect("retries must eventually succeed");
     assert_identical("retried response", &reference, &reply.artifacts);
@@ -475,11 +474,10 @@ fn chaos_storm_from_env() {
                 };
                 run_with_retries(
                     addr,
-                    Experiment::E1,
-                    "snb",
-                    Fidelity::Quick,
+                    &RunOpts::new(Experiment::E1, "snb", Fidelity::Quick),
                     &policy,
                     Some(Duration::from_secs(15)),
+                    None,
                 )
             })
         })

@@ -7,7 +7,9 @@
 //! once (asserted via the server's stats counters), and every response
 //! body is byte-identical to the corresponding serial `repro` artifact
 //! tree. A follow-up control connection exercises the degraded-on-fault
-//! path, error recovery on one connection, and purge.
+//! path, error recovery on one connection, and purge. The accept-loop
+//! tests pin that a fresh connection is served without waiting and that
+//! both shutdown paths wake the blocked `accept`.
 
 use experiments::platforms::Fidelity;
 use experiments::registry::Experiment;
@@ -18,7 +20,11 @@ use roofline_service::engine::{Engine, EngineConfig};
 use roofline_service::server::Server;
 use std::collections::BTreeMap;
 use std::fs;
+use std::io;
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::mpsc::{self, Receiver};
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("roofd-e2e-{tag}-{}", std::process::id()));
@@ -35,6 +41,16 @@ fn serial_reference(e: Experiment, platform: &str) -> BTreeMap<String, String> {
     let tree = read_tree(&dir).expect("reference tree");
     let _ = fs::remove_dir_all(&dir);
     tree
+}
+
+/// Runs `server.serve()` on its own thread; the receiver yields its
+/// result, so a test can bound how long the loop takes to return.
+fn spawn_serve(server: Server) -> Receiver<io::Result<()>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.serve());
+    });
+    rx
 }
 
 #[test]
@@ -172,4 +188,78 @@ fn second_request_is_served_from_cache_across_connections() {
 
     server.join().unwrap().expect("server");
     let _ = fs::remove_dir_all(&cache_dir);
+}
+
+#[test]
+fn sequential_fresh_connections_to_an_idle_node_are_served_at_once() {
+    let server = Server::bind("127.0.0.1:0", Engine::new(EngineConfig::default())).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.shutdown_handle();
+    let served = spawn_serve(server);
+
+    // Each round trip opens a fresh connection to an idle accept loop, as
+    // a one-request client does. 20 of them take a few milliseconds; a
+    // loop that polled `accept` would add its poll interval to each.
+    let started = Instant::now();
+    for _ in 0..20 {
+        let mut client =
+            Client::connect_with(addr, Some(Duration::from_secs(5))).expect("connect");
+        client.ping().expect("pong");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "20 fresh-connection pings took {elapsed:?}"
+    );
+
+    handle.trigger();
+    served
+        .recv_timeout(Duration::from_secs(5))
+        .expect("serve returns")
+        .expect("serve ok");
+}
+
+#[test]
+fn trigger_wakes_an_idle_server_bound_to_the_unspecified_address() {
+    let server = Server::bind("0.0.0.0:0", Engine::new(EngineConfig::default())).expect("bind");
+    let port = server.local_addr().expect("addr").port();
+    let handle = server.shutdown_handle();
+    let served = spawn_serve(server);
+    // One round trip proves the loop is running and back in `accept`.
+    Client::connect(("127.0.0.1", port))
+        .expect("connect")
+        .ping()
+        .expect("pong");
+
+    // The wake-up connection must go to loopback: `0.0.0.0` is not a
+    // destination.
+    handle.trigger();
+    served
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve returns within 2 s of trigger")
+        .expect("serve ok");
+}
+
+#[test]
+fn shutdown_command_returns_with_another_idle_connection_open() {
+    let server = Server::bind("127.0.0.1:0", Engine::new(EngineConfig::default())).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let served = spawn_serve(server);
+
+    let mut idle = Client::connect(addr).expect("idle connect");
+    idle.ping().expect("pong");
+    Client::connect(addr)
+        .expect("control connect")
+        .shutdown()
+        .expect("shutdown ack");
+    served
+        .recv_timeout(Duration::from_secs(5))
+        .expect("serve returns while the idle connection is open")
+        .expect("serve ok");
+
+    assert!(
+        TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
+        "a shut-down server must not accept"
+    );
+    drop(idle);
 }
