@@ -17,7 +17,7 @@
 //! streaming, and rendering is always compact (JSON-lines forbids raw
 //! newlines inside a frame; they are escaped).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 ///
@@ -123,12 +123,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&render_number(*n)),
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
+            Json::Num(n) => render_number(out, *n),
+            Json::Str(s) => render_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -145,10 +141,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    out.push_str(&escape(k));
-                    out.push_str("\":");
-                    v.render_into(out);
+                    render_member(out, k, v);
                 }
                 out.push('}');
             }
@@ -163,6 +156,7 @@ impl Json {
     /// trailing garbage.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -178,33 +172,61 @@ impl Json {
 
 /// Renders a number the way the rest of the repo writes them: integral
 /// values without a fractional part (`12`, not `12.0`).
-fn render_number(n: f64) -> String {
+fn render_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no Infinity/NaN; null is the conventional fallback.
-        return "null".to_string();
-    }
-    if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        format!("{}", n as i64)
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        let _ = write!(out, "{}", n as i64);
     } else {
-        format!("{n}")
+        let _ = write!(out, "{n}");
     }
 }
 
+/// Renders `s` as a quoted JSON string literal.
+fn render_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Renders one `"key":value` object member.
+fn render_member(out: &mut String, key: &str, value: &Json) {
+    render_str(out, key);
+    out.push(':');
+    value.render_into(out);
+}
+
 /// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Appends `s` escaped for a JSON string literal: runs of bytes that need
+/// no escape are copied in one step. Every byte that does is ASCII, so
+/// each run ends on a character boundary.
+fn escape_into(out: &mut String, s: &str) {
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
 }
 
 /// A JSON parse failure: what went wrong and where.
@@ -225,6 +247,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -401,12 +424,16 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("valid utf-8");
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one step. Those bytes are ASCII, so
+                    // the run ends on a character boundary of the input.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -478,15 +505,19 @@ impl Envelope {
 
     /// Renders the envelope as one JSON-lines frame (no trailing newline).
     pub fn to_line(&self) -> String {
-        let mut pairs = vec![
-            ("v".to_string(), Json::num(PROTOCOL_VERSION as f64)),
-            ("kind".to_string(), Json::str(&self.kind)),
-        ];
+        let mut out = String::new();
+        let _ = write!(out, "{{\"v\":{PROTOCOL_VERSION},\"kind\":");
+        render_str(&mut out, &self.kind);
         if let Some(seq) = &self.seq {
-            pairs.push(("seq".to_string(), Json::str(seq)));
+            out.push_str(",\"seq\":");
+            render_str(&mut out, seq);
         }
-        pairs.extend(self.fields.iter().cloned());
-        Json::Obj(pairs).render()
+        for (name, value) in &self.fields {
+            out.push(',');
+            render_member(&mut out, name, value);
+        }
+        out.push('}');
+        out
     }
 
     /// Parses one JSON-lines frame.
@@ -582,6 +613,51 @@ mod tests {
         assert_eq!(
             Json::parse(r#""A😀""#).unwrap().as_str(),
             Some("A\u{1f600}")
+        );
+    }
+
+    #[test]
+    fn string_escapes_surrogates_and_control_bytes() {
+        let text = r#""q\"b\\s\/\b\f\n\r\t\u0041\ud83d\ude00|\ud800x|é€""#;
+        assert_eq!(
+            Json::parse(text).unwrap().as_str(),
+            Some("q\"b\\s/\u{8}\u{c}\n\r\tA\u{1f600}|\u{fffd}x|é€")
+        );
+        // Control bytes other than \n, \r and \t render as \u escapes.
+        assert_eq!(Json::str("a\u{1}\u{1f}é").render(), r#""a\u0001\u001fé""#);
+        let err = Json::parse("\"ab\u{1}\"").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("raw control character in string", 3)
+        );
+        let err = Json::parse("\"a\\qb\"").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("invalid escape sequence", 3)
+        );
+        let err = Json::parse("\"abc").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("unterminated string", 4)
+        );
+    }
+
+    #[test]
+    fn megabyte_string_line_parses_in_linear_time() {
+        // roofd parses a request line of up to 1 MiB before it checks
+        // auth, so the cost of a string must grow linearly with its length.
+        let chunk = "abc é€ \\\" \\n \\ud83d\\ude00 ";
+        let decoded = "abc é€ \" \n \u{1f600} ";
+        let reps = (1 << 20) / chunk.len();
+        let line = format!(r#"{{"v":1,"kind":"run","blob":"{}"}}"#, chunk.repeat(reps));
+        assert!(line.len() > 1_000_000);
+        let t0 = std::time::Instant::now();
+        let env = Envelope::parse_line(&line).unwrap();
+        let took = t0.elapsed();
+        assert!(took.as_secs_f64() < 1.0, "1 MiB line took {took:?}");
+        assert_eq!(
+            env.get("blob").unwrap().as_str(),
+            Some(decoded.repeat(reps).as_str())
         );
     }
 

@@ -2,7 +2,8 @@
 //! passed, which were degraded by integrity violations, and which failed.
 //!
 //! Written by the `repro` binary as `<out>/manifest.json`. The JSON is
-//! hand-rolled (flat structure, no external dependencies) and looks like:
+//! hand-rolled (flat structure, strings escaped by
+//! [`roofline_core::json::escape`]) and looks like:
 //!
 //! ```json
 //! {
@@ -32,6 +33,7 @@
 //! [`normalized_json`] strips exactly those, and the golden-snapshot /
 //! determinism tests compare the normalized form.
 
+use roofline_core::json::escape;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -186,11 +188,11 @@ impl Manifest {
         let mut out = String::from("{\n");
         out.push_str(&format!(
             "  \"platform\": \"{}\",\n",
-            json_escape(&self.platform)
+            escape(&self.platform)
         ));
         out.push_str(&format!(
             "  \"fidelity\": \"{}\",\n",
-            json_escape(&self.fidelity)
+            escape(&self.fidelity)
         ));
         if let Some(t) = &self.timing {
             out.push_str(&format!("  \"jobs\": {},\n", t.jobs));
@@ -213,15 +215,15 @@ impl Manifest {
         for (i, e) in self.entries.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"id\": \"{}\", \"title\": \"{}\", \"status\": \"{}\"",
-                json_escape(&e.id),
-                json_escape(&e.title),
+                escape(&e.id),
+                escape(&e.title),
                 e.status
             ));
             if let Some(err) = &e.error {
-                out.push_str(&format!(", \"error\": \"{}\"", json_escape(err)));
+                out.push_str(&format!(", \"error\": \"{}\"", escape(err)));
             }
             if let Some(d) = &e.detail {
-                out.push_str(&format!(", \"detail\": \"{}\"", json_escape(d)));
+                out.push_str(&format!(", \"detail\": \"{}\"", escape(d)));
             }
             if let Some(ms) = e.elapsed_ms {
                 out.push_str(&format!(", \"elapsed_ms\": {ms}"));
@@ -305,23 +307,6 @@ fn strip_number_field(line: &str, key: &str) -> String {
         rest = &after[end..];
     }
     out.push_str(rest);
-    out
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

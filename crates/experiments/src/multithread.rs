@@ -2,24 +2,14 @@
 //! kernel at 1/2/N threads under the matching per-thread-count rooflines.
 
 use crate::output::{text_table, ExperimentOutput, Figure};
-use crate::platforms::{config_by_name, machine_by_name, Fidelity};
+use crate::platforms::{config_by_name, machine_by_name, roof_options, Fidelity};
 use kernels::blas1::Triad;
 use kernels::blas3::DgemmBlocked;
 use kernels::Kernel;
 use perfmon::harness::{MeasureConfig, Measurer};
-use perfmon::roofs::{measured_roofline_with, RoofOptions};
+use perfmon::roofs::measured_roofline_with;
 use roofline_core::plot::{ascii::render_ascii, svg::render_svg, PlotSpec};
 use roofline_core::prelude::*;
-
-fn roof_options(fidelity: Fidelity) -> RoofOptions {
-    match fidelity {
-        Fidelity::Quick => RoofOptions {
-            flops_target: 60_000,
-            dram_bytes_per_thread: 512 * 1024,
-        },
-        Fidelity::Full => RoofOptions::default(),
-    }
-}
 
 fn measure_mt<K: Kernel + Sync>(
     platform: &str,

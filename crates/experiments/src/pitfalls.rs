@@ -2,24 +2,14 @@
 //! counting), E8 (Turbo Boost distortion), E9 (cold vs. warm caches).
 
 use crate::output::{text_table, ExperimentOutput, Figure};
-use crate::platforms::{config_by_name, machine_by_name, Fidelity};
+use crate::platforms::{config_by_name, machine_by_name, roof_options, Fidelity};
 use kernels::blas1::{Ddot, Triad};
 use kernels::blas3::DgemmBlocked;
 use kernels::Kernel;
 use perfmon::harness::{CacheProtocol, MeasureConfig, Measurer};
-use perfmon::roofs::{measured_roofline_with, RoofOptions};
+use perfmon::roofs::measured_roofline_with;
 use roofline_core::plot::{ascii::render_ascii, svg::render_svg, PlotSpec};
 use roofline_core::prelude::*;
-
-fn quick_roofs(fidelity: Fidelity) -> RoofOptions {
-    match fidelity {
-        Fidelity::Quick => RoofOptions {
-            flops_target: 60_000,
-            dram_bytes_per_thread: 512 * 1024,
-        },
-        Fidelity::Full => RoofOptions::default(),
-    }
-}
 
 /// E7 — counting traffic at the LLC vs. at the IMC, with the prefetchers
 /// on and off. Reproduces the paper's finding that LLC-miss counting
@@ -106,7 +96,7 @@ pub fn run_e8(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
 
     // The clean nominal roofline.
     let mut rm = machine_by_name(platform);
-    let roofline = measured_roofline_with(&mut rm, 1, quick_roofs(fidelity));
+    let roofline = measured_roofline_with(&mut rm, 1, roof_options(fidelity));
 
     let mut rows = Vec::new();
     let mut points = Vec::new();
@@ -232,7 +222,7 @@ pub fn run_e9(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
     };
 
     let mut rm = machine_by_name(platform);
-    let roofline = measured_roofline_with(&mut rm, 1, quick_roofs(fidelity));
+    let roofline = measured_roofline_with(&mut rm, 1, roof_options(fidelity));
 
     let mut cold_t = Trajectory::new("ddot cold");
     let mut warm_t = Trajectory::new("ddot warm");

@@ -6,6 +6,7 @@
 //! configuration. Experiments run on such a spec measure a *faulty*
 //! machine, which is how the integrity-guard demonstrations are driven.
 
+use perfmon::roofs::RoofOptions;
 use simx86::config::{haswell, ivy_bridge, sandy_bridge, sandy_bridge_2s, test_machine};
 use simx86::{FaultConfig, Machine, MachineConfig};
 use std::fmt;
@@ -37,6 +38,19 @@ impl Fidelity {
             Fidelity::Quick => "quick",
             Fidelity::Full => "full",
         }
+    }
+}
+
+/// The options experiments measure their rooflines with at a fidelity:
+/// a shorter peak stream and a smaller DRAM buffer in quick mode, the
+/// harness defaults in full mode.
+pub fn roof_options(fidelity: Fidelity) -> RoofOptions {
+    match fidelity {
+        Fidelity::Quick => RoofOptions {
+            flops_target: 60_000,
+            dram_bytes_per_thread: 512 * 1024,
+        },
+        Fidelity::Full => RoofOptions::default(),
     }
 }
 

@@ -25,9 +25,14 @@ use std::path::Path;
 /// regeneration mode.
 pub const UPDATE_GOLDEN: &str = "UPDATE_GOLDEN";
 
-/// Normalizes one artifact's contents for comparison.
-pub fn normalize_file(name: &str, contents: &str) -> String {
-    let unified = contents.replace("\r\n", "\n");
+/// Normalizes one artifact's contents for comparison. Contents with no
+/// `\r` and any name but `manifest.json` come back as they are, uncopied.
+pub fn normalize_file(name: &str, contents: String) -> String {
+    let unified = if contents.contains('\r') {
+        contents.replace("\r\n", "\n")
+    } else {
+        contents
+    };
     if name == "manifest.json" {
         normalized_json(&unified)
     } else {
@@ -53,7 +58,7 @@ pub fn read_tree(dir: &Path) -> io::Result<BTreeMap<String, String>> {
         }
         let name = entry.file_name().to_string_lossy().into_owned();
         let contents = fs::read_to_string(entry.path())?;
-        tree.insert(name.clone(), normalize_file(&name, &contents));
+        tree.insert(name.clone(), normalize_file(&name, contents));
     }
     Ok(tree)
 }
@@ -176,13 +181,13 @@ mod tests {
     #[test]
     fn manifest_normalization_is_applied_by_name() {
         let raw = "{\n  \"jobs\": 4,\n  \"total\": 1\n}\n";
-        assert!(!normalize_file("manifest.json", raw).contains("jobs"));
-        assert!(normalize_file("e1_report.txt", raw).contains("jobs"));
+        assert!(!normalize_file("manifest.json", raw.to_string()).contains("jobs"));
+        assert!(normalize_file("e1_report.txt", raw.to_string()).contains("jobs"));
     }
 
     #[test]
     fn crlf_is_folded_everywhere() {
-        assert_eq!(normalize_file("a.csv", "x\r\ny\r\n"), "x\ny\n");
+        assert_eq!(normalize_file("a.csv", "x\r\ny\r\n".to_string()), "x\ny\n");
     }
 
     #[test]

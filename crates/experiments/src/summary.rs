@@ -2,7 +2,7 @@
 //! measured roofline per platform.
 
 use crate::output::{text_table, ExperimentOutput, Figure};
-use crate::platforms::{machine_by_name, Fidelity};
+use crate::platforms::{machine_by_name, roof_options, Fidelity};
 use kernels::blas1::{Daxpy, Triad};
 use kernels::blas2::Dgemv;
 use kernels::blas3::{DgemmBlocked, DgemmNaive};
@@ -10,20 +10,10 @@ use kernels::fft::Fft;
 use kernels::wht::Wht;
 use kernels::Kernel;
 use perfmon::harness::{CacheProtocol, MeasureConfig, Measurer};
-use perfmon::roofs::{measured_roofline_with, RoofOptions};
+use perfmon::roofs::measured_roofline_with;
 use roofline_core::plot::{ascii::render_ascii, svg::render_svg, PlotSpec};
 use roofline_core::point::Measurement;
 use roofline_core::prelude::*;
-
-fn roof_options(fidelity: Fidelity) -> RoofOptions {
-    match fidelity {
-        Fidelity::Quick => RoofOptions {
-            flops_target: 60_000,
-            dram_bytes_per_thread: 512 * 1024,
-        },
-        Fidelity::Full => RoofOptions::default(),
-    }
-}
 
 fn measure_of<K: Kernel>(
     platform: &str,

@@ -3,7 +3,7 @@
 //! single-thread roofline.
 
 use crate::output::{text_table, ExperimentOutput, Figure};
-use crate::platforms::{machine_by_name, Fidelity};
+use crate::platforms::{machine_by_name, roof_options, Fidelity};
 use kernels::blas1::Daxpy;
 use kernels::blas2::Dgemv;
 use kernels::blas3::{DgemmBlocked, DgemmNaive};
@@ -11,20 +11,10 @@ use kernels::fft::Fft;
 use kernels::wht::Wht;
 use kernels::Kernel;
 use perfmon::harness::{CacheProtocol, MeasureConfig, Measurer};
-use perfmon::roofs::{measured_roofline_with, RoofOptions};
+use perfmon::roofs::measured_roofline_with;
 use roofline_core::model::Roofline;
 use roofline_core::plot::{ascii::render_ascii, svg::render_svg, PlotSpec};
 use roofline_core::prelude::*;
-
-fn roof_options(fidelity: Fidelity) -> RoofOptions {
-    match fidelity {
-        Fidelity::Quick => RoofOptions {
-            flops_target: 60_000,
-            dram_bytes_per_thread: 512 * 1024,
-        },
-        Fidelity::Full => RoofOptions::default(),
-    }
-}
 
 /// Sweeps a kernel constructor over sizes under a protocol, producing a
 /// labelled trajectory.

@@ -21,7 +21,7 @@ use crate::faults::{FaultLottery, ServiceFaults};
 use experiments::manifest::RunStatus;
 use experiments::platforms::Fidelity;
 use experiments::registry::Experiment;
-use experiments::snapshot::read_tree;
+use experiments::snapshot::normalize_file;
 use roofline_core::json::Json;
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -32,8 +32,8 @@ use std::sync::Arc;
 
 /// Name of the per-entry checksum manifest written alongside the artifact
 /// files. Dotted so [`DiskStore::purge`] already treats it as
-/// housekeeping, and stripped from loaded trees so cached responses stay
-/// byte-identical to fresh `repro` output.
+/// housekeeping, and never part of a loaded tree, so cached responses
+/// stay byte-identical to fresh `repro` output.
 pub const SUMS_FILE: &str = ".sums";
 
 /// Header line of the checksum manifest; bumping it invalidates every
@@ -350,20 +350,31 @@ impl DiskStore {
     /// Verifies one on-disk entry directory against its [`SUMS_FILE`]:
     /// every listed file must exist with matching length and FNV-1a
     /// digest, and no unlisted artifact file may be present. Returns a
-    /// human-readable reason on the first violation.
-    ///
-    /// Verification reads the raw stored bytes (`fs::read`), not the
-    /// normalized view — the store only ever writes normalized trees, so
-    /// any divergence is corruption, not line-ending noise.
+    /// human-readable reason on the first violation. This is
+    /// [`DiskStore::load`]'s own check, minus keeping the tree.
     pub fn verify_entry(dir: &Path) -> Result<(), String> {
-        let sums_path = dir.join(SUMS_FILE);
-        let sums = fs::read_to_string(&sums_path)
+        Self::read_entry(dir).map(drop)
+    }
+
+    /// Reads and verifies one entry directory in a single pass: parses
+    /// its [`SUMS_FILE`], reads each listed file once, checks the raw
+    /// stored bytes' length and FNV-1a digest, and normalizes them into
+    /// the tree; then lists the directory once and refuses any unlisted
+    /// artifact file. The tree holds exactly the listed files, whose
+    /// names must be flat and undotted, so stray dot-files and
+    /// subdirectories are never served.
+    ///
+    /// Checks run on the raw bytes, not the normalized view: the store
+    /// only ever writes normalized trees, so any divergence is
+    /// corruption, not line-ending noise.
+    fn read_entry(dir: &Path) -> Result<BTreeMap<String, String>, String> {
+        let sums = fs::read_to_string(dir.join(SUMS_FILE))
             .map_err(|e| format!("unreadable {SUMS_FILE}: {e}"))?;
         let mut lines = sums.lines();
         if lines.next() != Some(SUMS_HEADER) {
             return Err(format!("bad {SUMS_FILE} header"));
         }
-        let mut listed = Vec::new();
+        let mut tree = BTreeMap::new();
         for line in lines {
             let mut parts = line.splitn(3, ' ');
             let (hash, len, name) = match (parts.next(), parts.next(), parts.next()) {
@@ -373,6 +384,11 @@ impl DiskStore {
             let want_len: usize = len
                 .parse()
                 .map_err(|_| format!("malformed length in {SUMS_FILE} line `{line}`"))?;
+            // The store writes flat artifact names only; a listed path or
+            // dot-file would be served from outside the artifact set.
+            if name.starts_with('.') || name.contains('/') {
+                return Err(format!("listed name `{name}` is not an artifact file name"));
+            }
             let bytes = fs::read(dir.join(name))
                 .map_err(|e| format!("listed file `{name}` unreadable: {e}"))?;
             if bytes.len() != want_len {
@@ -387,22 +403,22 @@ impl DiskStore {
                     "`{name}` checksum {got} does not match manifest {hash}"
                 ));
             }
-            listed.push(name.to_string());
+            let text =
+                String::from_utf8(bytes).map_err(|_| format!("`{name}` is not UTF-8 text"))?;
+            tree.insert(name.to_string(), normalize_file(name, text));
         }
         let entries = fs::read_dir(dir).map_err(|e| format!("unreadable entry dir: {e}"))?;
         for entry in entries.flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
-            if name == SUMS_FILE || name.starts_with('.') {
+            if name.starts_with('.') || tree.contains_key(&name) {
                 continue;
             }
             if entry.file_type().map(|t| t.is_dir()).unwrap_or(false) {
                 continue;
             }
-            if !listed.iter().any(|l| l == &name) {
-                return Err(format!("unlisted file `{name}` present in entry"));
-            }
+            return Err(format!("unlisted file `{name}` present in entry"));
         }
-        Ok(())
+        Ok(tree)
     }
 
     /// Moves a failed entry aside into [`QUARANTINE_DIR`] (suffixing
@@ -461,8 +477,9 @@ impl DiskStore {
     /// Loads a key's result, re-validating through the same
     /// [`experiments::snapshot`] normalization a fresh computation goes
     /// through, and recovering the status/integrity record from the
-    /// stored `manifest.json`. The entry's checksum manifest is verified
-    /// first: a torn, truncated, or bit-flipped entry is quarantined (see
+    /// stored `manifest.json`. Each file listed in the entry's checksum
+    /// manifest is read once and verified as it is read: a torn,
+    /// truncated, or bit-flipped entry is quarantined (see
     /// [`QUARANTINE_DIR`]) and reported as a miss, so corrupt bytes are
     /// recomputed, never served. Returns `None` on any missing,
     /// unverifiable, or unreadable entry.
@@ -471,14 +488,13 @@ impl DiskStore {
         if !dir.exists() {
             return None;
         }
-        if let Err(reason) = Self::verify_entry(&dir) {
-            self.quarantine(&dir, &reason);
-            return None;
-        }
-        let mut tree = read_tree(&dir).ok()?;
-        // The checksum manifest is store metadata, not an artifact: strip
-        // it so a cached tree stays byte-identical to fresh `repro` output.
-        tree.remove(SUMS_FILE);
+        let tree = match Self::read_entry(&dir) {
+            Ok(tree) => tree,
+            Err(reason) => {
+                self.quarantine(&dir, &reason);
+                return None;
+            }
+        };
         let manifest = Json::parse(tree.get("manifest.json")?).ok()?;
         let entry = manifest.get("experiments")?.as_arr()?.first()?;
         if entry.get("id")?.as_str()? != key.experiment.id() {
@@ -727,7 +743,7 @@ mod tests {
         );
         tree.insert(
             "manifest.json".to_string(),
-            experiments::snapshot::normalize_file("manifest.json", &raw),
+            experiments::snapshot::normalize_file("manifest.json", raw),
         );
         tree.insert("data.csv".to_string(), "a,b\n1,2\n".repeat(32));
         CachedResult {
@@ -807,6 +823,43 @@ mod tests {
         assert!(DiskStore::verify_entry(&dir).is_err(), "missing sums");
         assert!(store.load(&key).is_none(), "unverifiable entry is a miss");
         assert_eq!(store.quarantined(), 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn stray_dot_file_is_never_served() {
+        let root = scratch_root("dotfile");
+        let store = DiskStore::new(&root);
+        let key = CacheKey::with_version(Experiment::E1, "snb", Fidelity::Quick, "t");
+        let result = loadable_result(&key);
+        store.store(&key, &result).unwrap();
+        let dir = store.entry_dir(&key);
+        fs::write(dir.join(".stray"), "unverified bytes").unwrap();
+        let loaded = store.load(&key).expect("the listed files still verify");
+        assert_eq!(loaded.tree, result.tree, "only listed files are served");
+        assert_eq!(store.quarantined(), 0);
+        // Listing the dot-file, even with a matching checksum, does not
+        // make it servable.
+        let mut sums = fs::read_to_string(dir.join(SUMS_FILE)).unwrap();
+        sums.push_str(&format!("{:016x} 16 .stray\n", fnv64(b"unverified bytes")));
+        fs::write(dir.join(SUMS_FILE), sums).unwrap();
+        assert!(DiskStore::verify_entry(&dir).is_err(), "listed dot-file");
+        assert!(store.load(&key).is_none());
+        assert_eq!(store.quarantined(), 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn non_utf8_listed_file_fails_verification() {
+        let root = scratch_root("utf8");
+        let dir = root.join("entry");
+        fs::create_dir_all(&dir).unwrap();
+        let bytes = b"\xff\xfe";
+        fs::write(dir.join("data.csv"), bytes).unwrap();
+        let sums = format!("{SUMS_HEADER}\n{:016x} 2 data.csv\n", fnv64(bytes));
+        fs::write(dir.join(SUMS_FILE), sums).unwrap();
+        let err = DiskStore::verify_entry(&dir).unwrap_err();
+        assert!(err.contains("not UTF-8"), "{err}");
         let _ = fs::remove_dir_all(&root);
     }
 

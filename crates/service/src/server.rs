@@ -284,8 +284,16 @@ fn shed(mut stream: TcpStream, cfg: &ServerConfig) {
         .field("reason", Json::str("connections"))
         .field("queued", Json::num(0.0))
         .field("backlog_ms", Json::num(0.0));
-    let _ = stream.write_all(env.to_line().as_bytes());
-    let _ = stream.write_all(b"\n");
+    let _ = write_reply(&mut stream, &env);
+}
+
+/// Sends one reply frame: the envelope's line and its `\n` in a single
+/// write, then a flush.
+fn write_reply(writer: &mut impl Write, env: &Envelope) -> io::Result<()> {
+    let mut line = env.to_line();
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
 }
 
 /// Serves one connection to completion: one response line per request
@@ -326,9 +334,7 @@ fn serve_connection(
                 // request was read but before the response is written.
                 return Ok(());
             }
-            writer.write_all(d.reply.to_line().as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
+            write_reply(&mut writer, &d.reply)?;
             if d.shutdown {
                 shutdown.trigger();
                 return Ok(());
@@ -349,9 +355,7 @@ fn serve_connection(
                     cfg.max_line_bytes
                 ),
             );
-            writer.write_all(env.to_line().as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
+            write_reply(&mut writer, &env)?;
             return Ok(());
         }
         match reader.read(&mut chunk) {

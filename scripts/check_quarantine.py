@@ -4,7 +4,9 @@
 Usage: check_quarantine.py <cache-root> [--verbose]
 
 Independently re-implements the service's `.sums` manifest verification
-(FNV-1a 64 over raw bytes, exact length match, no unlisted artifacts) so
+(flat undotted names, FNV-1a 64 over raw bytes, exact length match,
+UTF-8 text, no unlisted artifacts; unlisted dot-files are ignored, as
+the server never serves them) so
 CI can prove two things with code that shares nothing with the Rust
 implementation:
 
@@ -57,6 +59,8 @@ def verify_entry(entry: str) -> str | None:
             want_len = int(want_len)
         except ValueError:
             return f"malformed length in {SUMS_FILE} line `{line}`"
+        if name.startswith(".") or "/" in name:
+            return f"listed name `{name}` is not an artifact file name"
         try:
             with open(os.path.join(entry, name), "rb") as f:
                 data = f.read()
@@ -67,6 +71,10 @@ def verify_entry(entry: str) -> str | None:
         got = f"{fnv64(data):016x}"
         if got != want_hash:
             return f"`{name}` checksum {got} does not match manifest {want_hash}"
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return f"`{name}` is not UTF-8 text"
         listed.add(name)
     for name in os.listdir(entry):
         if name == SUMS_FILE or name.startswith("."):

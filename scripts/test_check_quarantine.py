@@ -95,6 +95,24 @@ class CheckQuarantineTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("unlisted file", out)
 
+    def test_stray_dot_file_is_ignored_but_a_listed_one_fails(self):
+        # Mirrors the server: an unlisted dot-file is never served, so it
+        # does not fail the entry; a listed one is not an artifact name.
+        entry = self.entry()
+        (entry / ".stray").write_bytes(b"boo")
+        code, out, _ = run_on(self.root)
+        self.assertEqual(code, 0)
+        self.entry("eeee", {"manifest.json": b"{}\n", ".stray": b"boo"})
+        code, out, _ = run_on(self.root)
+        self.assertEqual(code, 1)
+        self.assertIn("not an artifact file name", out)
+
+    def test_non_utf8_listed_file_fails(self):
+        self.entry(files={"manifest.json": b"\xff\xfe"})
+        code, out, _ = run_on(self.root)
+        self.assertEqual(code, 1)
+        self.assertIn("not UTF-8", out)
+
     def test_missing_sums_in_live_entry_fails(self):
         entry = self.entry()
         (entry / SUMS_FILE).unlink()
